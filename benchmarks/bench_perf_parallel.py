@@ -1,92 +1,64 @@
-"""Performance — the sharded multi-core execution layer.
+"""Performance — the two parallel paths that remain.
 
 Three claims, measured:
 
-* **Scaling** — ETH attribution and the BTC calendar sweep at 1..4
-  workers; the per-worker-count seconds, blocks/s and speedup-vs-serial
-  land in ``extra_info["scaling"]`` so ``BENCH_pipeline.json`` (and the
-  ``bench-diff`` gate) carry the curve alongside the headline medians.
-* **Speedup** — on multi-core hardware the 4-worker run must actually be
-  faster (>= 1.7x with 4+ cores); skipped on single-core hosts, where
-  forced oversubscription cannot win.
-* **Auto overhead** — ``workers="auto"`` on a single-core host resolves
-  to 1 and must take the serial fast path: no pool is ever created, and
-  the residual guard cost (one ``resolve_workers`` + shard-eligibility
-  check per sweep) stays under 2% of sweep time, measured the same way
+* **Study fan-out** — the paper study runs each chain's half as one pool
+  task.  ROADMAP item 2's gate: the median of 3 ``workers=2`` study
+  reports is at most 1.10x the median of 3 ``workers=1`` reports, so the
+  default ``--workers auto`` is never slower than serial.  Skipped with
+  one usable CPU, where ``auto`` is the serial path.
+* **SQL group-by** — the BigQuery-style group-by through the partitioned
+  operators (the timed path must be the partitioned one).
+* **Auto overhead** — with one usable CPU ``workers="auto"`` resolves to 1
+  and the study must take the in-process path: no pool is ever created,
+  and the residual guard cost (one ``resolve_workers`` per study) stays
+  under 2% of the study's time, measured the same way
   ``bench_perf_obs.py`` bounds disabled-tracing overhead.
 """
 
-import os
+import statistics
 import time
 
 import pytest
 
-from repro.chain.attribution import attribute
-from repro.parallel import pool_status, resolve_workers
+from repro.analysis.report import generate_report
+from repro.analysis.study import DecentralizationStudy
+from repro.parallel import pool_status, resolve_workers, usable_cpus
 
-MAX_WORKERS = 4
+#: Reports timed per worker count for the fan-out gate.
+ROUNDS = 3
 
-#: Required 4-worker speedup over serial, by available parallelism.
-SPEEDUP_FLOOR_4CORE = 1.7
-SPEEDUP_FLOOR_2CORE = 1.2
+#: The fan-out report may take at most this multiple of the serial one.
+FAN_OUT_BUDGET = 1.10
 
-#: Maximum tolerated serial-path guard cost, as a fraction of sweep time.
+#: Maximum tolerated serial-path guard cost, as a fraction of study time.
 OVERHEAD_BUDGET = 0.02
 
 #: Safety factor on the measured guard-call cost.
 GUARD_MARGIN = 10.0
 
 
-def _scaling_curve(run, units: int) -> dict:
-    """Time ``run(workers)`` for 1..MAX_WORKERS; one timed call each."""
-    curve: dict[str, dict] = {}
-    serial_seconds = None
-    for workers in range(1, MAX_WORKERS + 1):
-        start = time.perf_counter()
-        run(workers)
-        seconds = time.perf_counter() - start
-        if serial_seconds is None:
-            serial_seconds = seconds
-        curve[str(workers)] = {
-            "seconds": round(seconds, 6),
-            "units_per_second": round(units / seconds, 1),
-            "speedup_vs_serial": round(serial_seconds / seconds, 3),
-        }
-    return curve
+def _report_seconds(workers: int) -> float:
+    """Wall seconds of one fresh study report (simulation included)."""
+    start = time.perf_counter()
+    generate_report(DecentralizationStudy(seed=2019, workers=workers))
+    return time.perf_counter() - start
 
 
-def test_perf_parallel_eth_attribution_scaling(benchmark, study):
-    """ETH per-address attribution, sharded across block ranges."""
-    chain = study.chain("eth")
-    workers = min(MAX_WORKERS, resolve_workers("auto"))
-    credits = benchmark.pedantic(
-        attribute, args=(chain,), kwargs={"workers": workers},
-        rounds=5, iterations=1, warmup_rounds=1,
-    )
-    assert credits.n_credits == 2_204_650
-    benchmark.extra_info["cpu_count"] = os.cpu_count() or 1
-    benchmark.extra_info["benchmarked_workers"] = workers
-    benchmark.extra_info["scaling"] = _scaling_curve(
-        lambda w: attribute(chain, workers=w), units=chain.n_blocks
-    )
-
-
-def test_perf_parallel_btc_calendar_sweep_scaling(benchmark, btc):
-    """The figure-suite calendar sweep, windows sharded across workers."""
-    metrics = ("gini", "entropy", "nakamoto")
-    workers = min(MAX_WORKERS, resolve_workers("auto"))
-
-    def sweep(w):
-        return btc.measure_calendar_many(metrics, "day", workers=w)
-
-    series = benchmark.pedantic(
-        sweep, args=(workers,), rounds=5, iterations=1, warmup_rounds=1
-    )
-    assert len(series["gini"]) == 365
-    benchmark.extra_info["cpu_count"] = os.cpu_count() or 1
-    benchmark.extra_info["benchmarked_workers"] = workers
-    benchmark.extra_info["scaling"] = _scaling_curve(
-        sweep, units=btc.credits.n_blocks
+def test_study_fan_out_not_slower_than_serial():
+    """``workers=2`` (what ``auto`` resolves to on 2 CPUs) must beat serial."""
+    if usable_cpus() < 2:
+        pytest.skip("one usable CPU: auto resolves to the serial path")
+    _report_seconds(1)  # warm imports and first-call costs
+    seconds: dict[int, list[float]] = {1: [], 2: []}
+    for _ in range(ROUNDS):
+        for workers in (2, 1):
+            seconds[workers].append(_report_seconds(workers))
+    fan_out = statistics.median(seconds[2])
+    serial = statistics.median(seconds[1])
+    assert fan_out <= FAN_OUT_BUDGET * serial, (
+        f"study fan-out {fan_out * 1e3:.0f}ms vs serial {serial * 1e3:.0f}ms "
+        f"(medians of {ROUNDS}), over the {FAN_OUT_BUDGET:.2f}x budget"
     )
 
 
@@ -112,48 +84,22 @@ def test_perf_parallel_sql_groupby(benchmark, study):
     assert "ParallelScan" in format_plan(root)
 
 
-def test_parallel_speedup_on_multicore(study):
-    """Real cores must buy real wall-clock; meaningless when oversubscribed."""
-    cpus = os.cpu_count() or 1
-    if cpus < 2:
-        pytest.skip("single-core host: parallel speedup is not expected")
-    chain = study.chain("eth")
-    attribute(chain)  # warm the simulation caches
-    start = time.perf_counter()
-    attribute(chain)
-    serial = time.perf_counter() - start
-    start = time.perf_counter()
-    attribute(chain, workers=MAX_WORKERS)
-    parallel = time.perf_counter() - start
-    floor = SPEEDUP_FLOOR_4CORE if cpus >= MAX_WORKERS else SPEEDUP_FLOOR_2CORE
-    speedup = serial / parallel
-    assert speedup >= floor, (
-        f"{MAX_WORKERS} workers on {cpus} cores: {speedup:.2f}x "
-        f"(serial {serial * 1e3:.0f}ms, parallel {parallel * 1e3:.0f}ms), "
-        f"below the {floor:.1f}x floor"
-    )
+def test_auto_workers_overhead_under_budget(study):
+    """With one usable CPU ``workers='auto'`` must cost (almost) nothing.
 
-
-def test_auto_workers_overhead_under_budget(btc):
-    """On a single-core host ``workers='auto'`` must cost (almost) nothing.
-
-    Two halves: (a) the sweep under ``auto`` creates no pool at all —
-    checked against the lifetime pool counters; (b) the guard work the
-    serial path did gain (resolving ``auto`` and deciding not to shard)
-    is bounded at well under 2% of the sweep, the same budget-style bound
+    Two halves: (a) an ``auto`` study creates no pool at all — checked
+    against the lifetime pool counters; (b) the guard work the serial
+    path did gain (resolving ``auto`` and deciding not to fan out) is
+    bounded at well under 2% of the study, the same budget-style bound
     ``bench_perf_obs.py`` places on disabled tracing.
     """
     if resolve_workers("auto") != 1:
-        pytest.skip("multi-core host: auto legitimately builds pools")
-
-    def sweep():
-        return btc.measure_calendar_many(("gini", "entropy"), "day", workers="auto")
-
-    sweep()  # warm caches
+        pytest.skip("multi-core host: auto legitimately builds a pool")
+    chains = {"bitcoin": study.chain("btc"), "ethereum": study.chain("eth")}
     before = pool_status()["lifetime"]["pools_created"]
     start = time.perf_counter()
-    sweep()
-    sweep_seconds = time.perf_counter() - start
+    DecentralizationStudy(**chains, workers="auto").chain_results()
+    study_seconds = time.perf_counter() - start
     assert pool_status()["lifetime"]["pools_created"] == before
 
     calls = 10_000
@@ -162,12 +108,12 @@ def test_auto_workers_overhead_under_budget(btc):
         resolve_workers("auto")
     guard_seconds = (time.perf_counter() - start) / calls
 
-    # A sweep resolves workers a handful of times; margin it by 10x.
+    # A study resolves workers once; margin it by 10x.
     overhead = guard_seconds * GUARD_MARGIN
-    budget = OVERHEAD_BUDGET * sweep_seconds
+    budget = OVERHEAD_BUDGET * study_seconds
     assert overhead < budget, (
-        f"auto-workers guard would cost {overhead * 1e6:.1f}us per sweep "
+        f"auto-workers guard would cost {overhead * 1e6:.1f}us per study "
         f"({guard_seconds * 1e9:.0f}ns per resolve x{GUARD_MARGIN:.0f} margin), "
         f"over the 2% budget of {budget * 1e6:.1f}us "
-        f"(sweep {sweep_seconds * 1e3:.1f}ms)"
+        f"(study {study_seconds * 1e3:.1f}ms)"
     )

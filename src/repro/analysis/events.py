@@ -10,10 +10,12 @@ persistent shift (CUSUM), across all three paper metrics, in time order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 from repro.core.anomaly import iqr_anomalies
 from repro.core.changepoint import cusum_changepoints
 from repro.core.engine import MeasurementEngine
+from repro.core.series import MeasurementSeries
 
 
 @dataclass(frozen=True)
@@ -46,10 +48,23 @@ def event_timeline(
     cusum_drift: float = 0.4,
 ) -> list[Event]:
     """Detect and merge events across ``metrics``; sorted by position."""
+    return sweep_events(
+        engine.measure_calendar_many(metrics, granularity),
+        iqr_k=iqr_k,
+        cusum_threshold=cusum_threshold,
+        cusum_drift=cusum_drift,
+    )
+
+
+def sweep_events(
+    sweep: Mapping[str, MeasurementSeries],
+    iqr_k: float = 1.5,
+    cusum_threshold: float = 4.0,
+    cusum_drift: float = 0.4,
+) -> list[Event]:
+    """:func:`event_timeline` over an already measured sweep (metric -> series)."""
     events: list[Event] = []
-    sweep = engine.measure_calendar_many(metrics, granularity)
-    for metric in metrics:
-        series = sweep[metric]
+    for metric, series in sweep.items():
         outliers = iqr_anomalies(series, k=iqr_k)
         for position, label, value in zip(
             outliers.positions, outliers.labels, outliers.values
@@ -81,7 +96,7 @@ def event_timeline(
     return sorted(events, key=lambda e: (e.position, e.metric, e.kind))
 
 
-def coincident_events(events: list[Event], min_metrics: int = 2) -> list[list[Event]]:
+def coincident_events(events: Iterable[Event], min_metrics: int = 2) -> list[list[Event]]:
     """Group same-position events; keep groups spanning >= ``min_metrics``.
 
     A date flagged by several metrics at once (like the paper's day 14,

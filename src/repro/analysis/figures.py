@@ -24,6 +24,19 @@ from repro.windows.sliding import sliding_window_count
 
 GRANULARITIES: Final = ("day", "week", "month")
 
+#: The paper's sliding window sizes N per chain (step M = N/2): one day,
+#: one week and one month of blocks.
+SLIDING_SIZES: Final[dict[str, tuple[int, int, int]]] = {
+    "btc": (144, 1008, 4320),
+    "eth": (6000, 42000, 180000),
+}
+
+#: Per chain: legend name and the sliding figure of each paper metric.
+_SLIDING_PLANS: Final = {
+    "btc": ("Bitcoin", {"entropy": "fig9", "gini": "fig11", "nakamoto": "fig13"}),
+    "eth": ("Ethereum", {"entropy": "fig10", "gini": "fig12", "nakamoto": "fig14"}),
+}
+
 
 @dataclass(frozen=True)
 class FigureResult:
@@ -95,34 +108,44 @@ def _sliding_result(
     )
 
 
-def sliding_figure_suite(
-    btc: MeasurementEngine, eth: MeasurementEngine
-) -> dict[str, FigureResult]:
-    """Figures 9-14 from one window sweep per (chain, size).
+def chain_sliding_suite(engine: MeasurementEngine, which: str) -> dict[str, FigureResult]:
+    """One chain's sliding figures (Figs. 9/11/13 or 10/12/14), one sweep per size.
 
-    Instead of six independent sweeps (one per figure), each (chain, size)
-    family is measured once with :meth:`MeasurementEngine.measure_sliding_many`
-    evaluating all three paper metrics over shared distributions — the fast
-    path the figure suite rides on.
+    Instead of three independent sweeps (one per figure), each window size
+    is measured once with :meth:`MeasurementEngine.measure_sliding_many`
+    evaluating all three paper metrics over shared distributions — the
+    fast path the figure suite rides on.
     """
-    plans = (
-        (btc, "Bitcoin", (144, 1008, 4320), {"entropy": "fig9", "gini": "fig11", "nakamoto": "fig13"}),
-        (eth, "Ethereum", (6000, 42000, 180000), {"entropy": "fig10", "gini": "fig12", "nakamoto": "fig14"}),
-    )
-    results: dict[str, FigureResult] = {}
-    for engine, chain_label, sizes, figure_of in plans:
-        per_metric: dict[str, dict[str, MeasurementSeries]] = {
-            metric: {} for metric in figure_of
-        }
-        for size in sizes:
-            sweep = engine.measure_sliding_many(tuple(figure_of), size)
-            for metric, series in sweep.items():
-                per_metric[metric][f"N={size}"] = series
-        for metric, figure_id in figure_of.items():
-            results[figure_id] = _sliding_result(
-                metric, per_metric[metric], sizes, figure_id, chain_label
-            )
-    return results
+    chain_label, figure_of = _SLIDING_PLANS[which]
+    sizes = SLIDING_SIZES[which]
+    per_metric: dict[str, dict[str, MeasurementSeries]] = {
+        metric: {} for metric in figure_of
+    }
+    for size in sizes:
+        sweep = engine.measure_sliding_many(tuple(figure_of), size)
+        for metric, series in sweep.items():
+            per_metric[metric][f"N={size}"] = series
+    return {
+        figure_id: _sliding_result(
+            metric, per_metric[metric], sizes, figure_id, chain_label
+        )
+        for metric, figure_id in figure_of.items()
+    }
+
+
+def chain_figures(engine: MeasurementEngine, which: str) -> dict[str, FigureResult]:
+    """Every figure drawn from chain ``which`` alone, in paper order.
+
+    That is all of them but Fig. 8, which needs both chains' block counts
+    (:func:`figure_8_from_counts`).  The sliding figures come from
+    :func:`chain_sliding_suite`.
+    """
+    sliding = chain_sliding_suite(engine, which)
+    return {
+        key: sliding[key] if key in sliding else generator(engine)
+        for key, (generator, needs) in FIGURE_IDS.items()
+        if needs == (which,)
+    }
 
 
 def figure_1(btc: MeasurementEngine) -> FigureResult:
@@ -180,13 +203,14 @@ def figure_7(btc: MeasurementEngine, top_k: int = 8) -> FigureResult:
 
 def figure_8(btc: MeasurementEngine, eth: MeasurementEngine) -> FigureResult:
     """Fig. 8: sliding-window mechanics — Eq. 5 window counts and overlaps."""
+    return figure_8_from_counts(btc.credits.n_blocks, eth.credits.n_blocks)
+
+
+def figure_8_from_counts(btc_blocks: int, eth_blocks: int) -> FigureResult:
+    """Fig. 8 from the two chains' block counts alone."""
     notes: dict[str, float] = {}
-    for label, engine, sizes in (
-        ("btc", btc, (144, 1008, 4320)),
-        ("eth", eth, (6000, 42000, 180000)),
-    ):
-        total = engine.credits.n_blocks
-        for size in sizes:
+    for label, total in (("btc", btc_blocks), ("eth", eth_blocks)):
+        for size in SLIDING_SIZES[label]:
             step = size // 2
             notes[f"{label}_L_N={size}"] = float(
                 sliding_window_count(total, size, step)
@@ -201,32 +225,32 @@ def figure_8(btc: MeasurementEngine, eth: MeasurementEngine) -> FigureResult:
 
 def figure_9(btc: MeasurementEngine) -> FigureResult:
     """Fig. 9: Shannon entropy in Bitcoin, sliding windows."""
-    return _sliding_figure(btc, "entropy", (144, 1008, 4320), "fig9", "Bitcoin")
+    return _sliding_figure(btc, "entropy", SLIDING_SIZES["btc"], "fig9", "Bitcoin")
 
 
 def figure_10(eth: MeasurementEngine) -> FigureResult:
     """Fig. 10: Shannon entropy in Ethereum, sliding windows."""
-    return _sliding_figure(eth, "entropy", (6000, 42000, 180000), "fig10", "Ethereum")
+    return _sliding_figure(eth, "entropy", SLIDING_SIZES["eth"], "fig10", "Ethereum")
 
 
 def figure_11(btc: MeasurementEngine) -> FigureResult:
     """Fig. 11: Gini coefficient in Bitcoin, sliding windows."""
-    return _sliding_figure(btc, "gini", (144, 1008, 4320), "fig11", "Bitcoin")
+    return _sliding_figure(btc, "gini", SLIDING_SIZES["btc"], "fig11", "Bitcoin")
 
 
 def figure_12(eth: MeasurementEngine) -> FigureResult:
     """Fig. 12: Gini coefficient in Ethereum, sliding windows."""
-    return _sliding_figure(eth, "gini", (6000, 42000, 180000), "fig12", "Ethereum")
+    return _sliding_figure(eth, "gini", SLIDING_SIZES["eth"], "fig12", "Ethereum")
 
 
 def figure_13(btc: MeasurementEngine) -> FigureResult:
     """Fig. 13: Nakamoto coefficient in Bitcoin, sliding windows."""
-    return _sliding_figure(btc, "nakamoto", (144, 1008, 4320), "fig13", "Bitcoin")
+    return _sliding_figure(btc, "nakamoto", SLIDING_SIZES["btc"], "fig13", "Bitcoin")
 
 
 def figure_14(eth: MeasurementEngine) -> FigureResult:
     """Fig. 14: Nakamoto coefficient in Ethereum, sliding windows."""
-    return _sliding_figure(eth, "nakamoto", (6000, 42000, 180000), "fig14", "Ethereum")
+    return _sliding_figure(eth, "nakamoto", SLIDING_SIZES["eth"], "fig14", "Ethereum")
 
 
 #: Figure ids in paper order, mapped to (generator, required engines).

@@ -3,7 +3,8 @@
 :func:`generate_report` renders the whole study — dataset shapes, every
 figure's summary statistics with a sparkline, the headline findings and
 the anomaly scan — into one markdown document, the artifact a measurement
-study ships alongside its figures.
+study ships alongside its figures.  Every section renders from the
+study's two per-chain results (:meth:`DecentralizationStudy.chain_results`).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.analysis.figures import FigureResult
-from repro.analysis.study import DecentralizationStudy
+from repro.analysis.study import PAPER_METRICS, ChainStudy, DecentralizationStudy
 from repro.core.anomaly import iqr_anomalies
 from repro.core.summary import summarize
 from repro.viz.tables import sparkline
@@ -19,13 +20,14 @@ from repro.viz.tables import sparkline
 
 def generate_report(study: DecentralizationStudy, path: str | Path | None = None) -> str:
     """Render the study as markdown; optionally write it to ``path``."""
+    halves = tuple(study.chain_results().values())
     sections = [
         _header(),
-        _dataset_section(study),
+        _dataset_section(halves),
         _findings_section(study),
         _figures_section(study),
-        _anomaly_section(study),
-        _events_section(study),
+        _anomaly_section(halves),
+        _events_section(halves),
     ]
     text = "\n\n".join(sections) + "\n"
     if path is not None:
@@ -43,14 +45,13 @@ def _header() -> str:
     )
 
 
-def _dataset_section(study: DecentralizationStudy) -> str:
+def _dataset_section(halves: tuple[ChainStudy, ...]) -> str:
     lines = ["## Datasets", "", "| chain | blocks | heights | producers |", "|---|---|---|---|"]
-    for which in ("btc", "eth"):
-        chain = study.chain(which)
+    for half in halves:
         lines.append(
-            f"| {chain.spec.name} | {chain.n_blocks:,} | "
-            f"{chain.start_height:,}..{chain.end_height:,} | "
-            f"{chain.n_producers:,} |"
+            f"| {half.name} | {half.n_blocks:,} | "
+            f"{half.start_height:,}..{half.end_height:,} | "
+            f"{half.n_producers:,} |"
         )
     return "\n".join(lines)
 
@@ -116,8 +117,8 @@ def _figure_body(figure: FigureResult) -> list[str]:
     return lines
 
 
-def _events_section(study: DecentralizationStudy) -> str:
-    from repro.analysis.events import coincident_events, event_timeline
+def _events_section(halves: tuple[ChainStudy, ...]) -> str:
+    from repro.analysis.events import coincident_events
 
     lines = [
         "## Multi-metric events",
@@ -127,9 +128,8 @@ def _events_section(study: DecentralizationStudy) -> str:
         "",
     ]
     found_any = False
-    for which in ("btc", "eth"):
-        events = event_timeline(study.engine(which))
-        for group in coincident_events(events, min_metrics=2):
+    for half in halves:
+        for group in coincident_events(half.events, min_metrics=2):
             found_any = True
             metrics = ", ".join(
                 f"{event.metric} ({event.kind})" for event in group
@@ -140,22 +140,18 @@ def _events_section(study: DecentralizationStudy) -> str:
     return "\n".join(lines)
 
 
-def _anomaly_section(study: DecentralizationStudy) -> str:
+def _anomaly_section(halves: tuple[ChainStudy, ...]) -> str:
     lines = [
         "## Anomaly scan (IQR rule, daily series)",
         "",
         "| chain | metric | anomalous windows | examples |",
         "|---|---|---|---|",
     ]
-    for which in ("btc", "eth"):
-        engine = study.engine(which)
-        # One daily sweep serves all three metrics.
-        daily = engine.measure_calendar_many(("gini", "entropy", "nakamoto"), "day")
-        for metric in ("gini", "entropy", "nakamoto"):
-            report = iqr_anomalies(daily[metric])
+    for half in halves:
+        for metric in PAPER_METRICS:
+            report = iqr_anomalies(half.daily[metric])
             examples = ", ".join(report.labels[:3]) if report else "—"
             lines.append(
-                f"| {study.chain(which).spec.name} | {metric} "
-                f"| {report.count} | {examples} |"
+                f"| {half.name} | {metric} | {report.count} | {examples} |"
             )
     return "\n".join(lines)

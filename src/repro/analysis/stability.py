@@ -7,9 +7,11 @@ Ethereum daily series; the chain with the lower CV is the more stable one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.core.comparison import StabilityComparison, compare_stability
 from repro.core.engine import MeasurementEngine
+from repro.core.series import MeasurementSeries
 
 
 @dataclass(frozen=True)
@@ -41,9 +43,19 @@ def stability_report(
     granularity: str = "day",
 ) -> StabilityReport:
     """Compare per-metric stability of the two chains at ``granularity``."""
-    sweep_btc = btc.measure_calendar_many(metrics, granularity)
-    sweep_eth = eth.measure_calendar_many(metrics, granularity)
+    return stability_of_sweeps(
+        btc.measure_calendar_many(metrics, granularity),
+        eth.measure_calendar_many(metrics, granularity),
+    )
+
+
+def stability_of_sweeps(
+    sweep_btc: Mapping[str, MeasurementSeries],
+    sweep_eth: Mapping[str, MeasurementSeries],
+) -> StabilityReport:
+    """:func:`stability_report` over two measured sweeps (metric -> series)."""
     comparisons = [
-        compare_stability(sweep_btc[metric], sweep_eth[metric]) for metric in metrics
+        compare_stability(series, sweep_eth[metric])
+        for metric, series in sweep_btc.items()
     ]
     return StabilityReport(comparisons=tuple(comparisons))

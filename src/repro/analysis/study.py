@@ -1,8 +1,16 @@
 """The full comparison study (the paper, end to end).
 
-:class:`DecentralizationStudy` lazily simulates (or accepts) the two 2019
-chains, caches their measurement engines, generates any figure by id and
-derives the paper's headline findings:
+Each chain's half of the study — simulation, attribution, every figure
+drawn from that chain alone, its day calendar sweep and the events on it
+— is one unit of work, :func:`study_chain`, returning a small picklable
+:class:`ChainStudy`.  :class:`DecentralizationStudy` runs the two halves
+as two tasks on one :class:`~repro.parallel.WorkerPool` when its
+``workers`` resolve to 2 or more, in-process one after the other
+otherwise, and renders every figure and finding from the two results.
+The paper compares the chains only through summary statistics, so
+nothing else crosses between the halves.
+
+The headline findings:
 
 * Bitcoin is **more decentralized** (lower Gini, higher entropy, higher
   Nakamoto coefficient), and
@@ -14,13 +22,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.figures import FIGURE_IDS, FigureResult, sliding_figure_suite
-from repro.analysis.stability import StabilityReport, stability_report
+from repro import obs
+from repro.analysis.events import Event, sweep_events
+from repro.analysis.figures import (
+    FIGURE_IDS,
+    SLIDING_SIZES,
+    FigureResult,
+    chain_figures,
+    figure_8_from_counts,
+)
+from repro.analysis.stability import StabilityReport, stability_of_sweeps
 from repro.chain.chain import Chain
 from repro.core.comparison import LevelComparison, compare_level
 from repro.core.engine import MeasurementEngine
+from repro.core.series import MeasurementSeries
 from repro.core.summary import summarize
 from repro.errors import MeasurementError
+from repro.parallel import WorkerPool, resolve_workers, worker_payload
 from repro.simulation.scenarios import simulate_bitcoin_2019, simulate_ethereum_2019
 from repro.table import Table, concat
 
@@ -30,6 +48,12 @@ HIGHER_IS_MORE_DECENTRALIZED = {
     "entropy": True,
     "nakamoto": True,
 }
+
+#: The paper's three metrics, in the order every sweep measures them.
+PAPER_METRICS = tuple(HIGHER_IS_MORE_DECENTRALIZED)
+
+#: The two chains, keyed the way every study method takes them.
+CHAINS = ("btc", "eth")
 
 
 @dataclass(frozen=True)
@@ -53,8 +77,77 @@ class StudyFindings:
         return self.stability.overall_winner
 
 
+@dataclass(frozen=True)
+class ChainStudy:
+    """One chain's half of the study: everything rendered from that chain.
+
+    Series and scalars only — neither the chain nor its credits — so a
+    pool worker ships it back in well under a megabyte.
+    """
+
+    key: str
+    #: The dataset row: chain name, block count, height range, producers.
+    name: str
+    n_blocks: int
+    start_height: int
+    end_height: int
+    n_producers: int
+    #: Every figure drawn from this chain alone, in paper order.
+    figures: dict[str, FigureResult]
+    #: The day calendar sweep of :data:`PAPER_METRICS`, shared by the
+    #: findings, the stability comparison, the anomaly scan and the events.
+    daily: dict[str, MeasurementSeries]
+    #: Outliers and shifts on the day sweep, in time order.
+    events: tuple[Event, ...]
+
+
+def _simulate(which: str, seed: int) -> Chain:
+    if which == "btc":
+        return simulate_bitcoin_2019(seed=seed)
+    return simulate_ethereum_2019(seed=seed)
+
+
+def study_chain(
+    which: str,
+    seed: int = 2019,
+    policy: str = "per-address",
+    chain: Chain | None = None,
+) -> ChainStudy:
+    """Chain ``which``'s half of the study, as one unit of work.
+
+    Simulates the chain from ``seed`` unless ``chain`` is given,
+    attributes it under ``policy``, and measures every figure drawn from
+    it alone, its day sweep and the events on that sweep.
+    """
+    if chain is None:
+        chain = _simulate(which, seed)
+    engine = MeasurementEngine.from_chain(chain, policy=policy)
+    daily = engine.measure_calendar_many(PAPER_METRICS, "day")
+    return ChainStudy(
+        key=which,
+        name=chain.spec.name,
+        n_blocks=chain.n_blocks,
+        start_height=chain.start_height,
+        end_height=chain.end_height,
+        n_producers=chain.n_producers,
+        figures=chain_figures(engine, which),
+        daily=daily,
+        events=tuple(sweep_events(daily)),
+    )
+
+
+def _study_chain_task(which: str, seed: int, policy: str) -> ChainStudy:
+    """Pool task: :func:`study_chain` over the payload's chain, if supplied."""
+    return study_chain(which, seed, policy, worker_payload()[which])
+
+
 class DecentralizationStudy:
-    """Owns the datasets and produces every figure and finding."""
+    """Owns the datasets and produces every figure and finding.
+
+    ``workers`` (``"auto"``, ``None`` or an int) decides how the two
+    chains' halves run: 2 or more fans them out on one two-worker pool,
+    1 runs them in-process.  Either way the results are identical.
+    """
 
     def __init__(
         self,
@@ -66,9 +159,10 @@ class DecentralizationStudy:
     ) -> None:
         self._seed = seed
         self._policy = policy
-        self._workers = workers
+        self._workers = resolve_workers(workers)
         self._chains: dict[str, Chain | None] = {"btc": bitcoin, "eth": ethereum}
         self._engines: dict[str, MeasurementEngine] = {}
+        self._results: dict[str, ChainStudy] = {}
 
     # -- data access -----------------------------------------------------------
 
@@ -77,19 +171,53 @@ class DecentralizationStudy:
         if which not in self._chains:
             raise MeasurementError(f"unknown chain {which!r}; use 'btc' or 'eth'")
         if self._chains[which] is None:
-            if which == "btc":
-                self._chains[which] = simulate_bitcoin_2019(seed=self._seed)
-            else:
-                self._chains[which] = simulate_ethereum_2019(seed=self._seed)
+            self._chains[which] = _simulate(which, self._seed)
         return self._chains[which]
 
     def engine(self, which: str) -> MeasurementEngine:
         """A cached measurement engine for one chain."""
         if which not in self._engines:
             self._engines[which] = MeasurementEngine.from_chain(
-                self.chain(which), policy=self._policy, workers=self._workers
+                self.chain(which), policy=self._policy
             )
         return self._engines[which]
+
+    # -- the two halves ----------------------------------------------------------
+
+    def chain_results(self) -> dict[str, ChainStudy]:
+        """Both chains' halves of the study, each computed once.
+
+        When neither half exists yet and ``workers`` resolves to 2 or
+        more, they run as two tasks on one :class:`WorkerPool`; the chains
+        this study holds (supplied or already simulated) travel as the
+        pool payload, and a worker simulates a chain the study lacks.
+        """
+        return self._compute(CHAINS)
+
+    def _compute(self, wanted: tuple[str, ...]) -> dict[str, ChainStudy]:
+        """The halves of the ``wanted`` chains; only two missing ones fan out."""
+        missing = [which for which in wanted if which not in self._results]
+        if missing:
+            fan_out = self._workers >= 2 and len(missing) == 2
+            with obs.span(
+                "study.chains",
+                chains=missing,
+                mode="fan-out" if fan_out else "serial",
+                workers=self._workers,
+            ):
+                if fan_out:
+                    with WorkerPool(2, payload=dict(self._chains)) as pool:
+                        halves = pool.map_shards(
+                            _study_chain_task,
+                            [(which, self._seed, self._policy) for which in missing],
+                        )
+                else:
+                    halves = [
+                        study_chain(which, self._seed, self._policy, self._chains[which])
+                        for which in missing
+                    ]
+            self._results.update(zip(missing, halves))
+        return {which: self._results[which] for which in wanted}
 
     # -- figures ------------------------------------------------------------------
 
@@ -100,59 +228,59 @@ class DecentralizationStudy:
             raise MeasurementError(
                 f"unknown figure {figure_id!r}; available: {sorted(FIGURE_IDS)}"
             )
-        generator, needs = FIGURE_IDS[key]
-        engines = [self.engine(which) for which in needs]
-        return generator(*engines)
+        _, needs = FIGURE_IDS[key]
+        halves = self._compute(needs)
+        if len(needs) == 1:
+            return halves[needs[0]].figures[key]
+        # Fig. 8: both chains' block counts.
+        return figure_8_from_counts(halves["btc"].n_blocks, halves["eth"].n_blocks)
 
     def all_figures(self) -> list[FigureResult]:
-        """Every figure of the paper, in order.
-
-        The six sliding figures (9-14) come from
-        :func:`~repro.analysis.figures.sliding_figure_suite`, which measures
-        every paper metric over one shared sweep per (chain, size) family.
-        """
-        sliding = sliding_figure_suite(self.engine("btc"), self.engine("eth"))
-        return [
-            sliding[key] if key in sliding else self.figure(key)
-            for key in FIGURE_IDS
-        ]
+        """Every figure of the paper, in order, from the two halves."""
+        self.chain_results()
+        return [self.figure(key) for key in FIGURE_IDS]
 
     # -- findings ------------------------------------------------------------------
 
     def findings(self, granularity: str = "day") -> StudyFindings:
-        """Evaluate the paper's headline claims at ``granularity``."""
-        metrics = tuple(HIGHER_IS_MORE_DECENTRALIZED)
-        sweep_btc = self.engine("btc").measure_calendar_many(metrics, granularity)
-        sweep_eth = self.engine("eth").measure_calendar_many(metrics, granularity)
+        """Evaluate the paper's headline claims at ``granularity``.
+
+        The day findings reuse the halves' shared day sweeps; any other
+        granularity is measured in-process.
+        """
+        if granularity == "day":
+            halves = self.chain_results()
+            sweep_btc, sweep_eth = halves["btc"].daily, halves["eth"].daily
+        else:
+            sweep_btc, sweep_eth = (
+                self.engine(which).measure_calendar_many(PAPER_METRICS, granularity)
+                for which in CHAINS
+            )
         level = [
             compare_level(sweep_btc[metric], sweep_eth[metric], higher)
             for metric, higher in HIGHER_IS_MORE_DECENTRALIZED.items()
         ]
-        stability = stability_report(
-            self.engine("btc"), self.engine("eth"), granularity=granularity
+        return StudyFindings(
+            level=tuple(level), stability=stability_of_sweeps(sweep_btc, sweep_eth)
         )
-        return StudyFindings(level=tuple(level), stability=stability)
 
     def summary_table(self) -> Table:
         """One row per (chain, metric, window family) with summary stats.
 
         Each window family is swept once for all three paper metrics.
         """
-        metrics = tuple(HIGHER_IS_MORE_DECENTRALIZED)
         rows = []
-        for which in ("btc", "eth"):
+        for which in CHAINS:
             engine = self.engine(which)
-            sizes = (
-                (144, 1008, 4320) if which == "btc" else (6000, 42000, 180000)
-            )
+            sizes = SLIDING_SIZES[which]
             calendar = {
-                granularity: engine.measure_calendar_many(metrics, granularity)
+                granularity: engine.measure_calendar_many(PAPER_METRICS, granularity)
                 for granularity in ("day", "week", "month")
             }
             sliding = {
-                size: engine.measure_sliding_many(metrics, size) for size in sizes
+                size: engine.measure_sliding_many(PAPER_METRICS, size) for size in sizes
             }
-            for metric in metrics:
+            for metric in PAPER_METRICS:
                 for granularity in ("day", "week", "month"):
                     rows.append(_summary_row(calendar[granularity][metric]))
                 for size in sizes:

@@ -34,8 +34,6 @@ from repro import obs
 from repro.chain.chain import Chain
 from repro.chain.pools import PoolRegistry
 from repro.errors import AttributionError
-from repro.parallel import WorkerPool, resolve_workers, shard_ranges
-from repro.parallel import work as _work
 
 #: The policies accepted by :func:`attribute`.
 ATTRIBUTION_POLICIES: Final[tuple[str, ...]] = (
@@ -157,7 +155,7 @@ class Credits:
 
     # -- incremental sliding-window histograms -------------------------------
 
-    def segment_histograms(self, step: int, workers: int | str | None = None) -> np.ndarray | None:
+    def segment_histograms(self, step: int) -> np.ndarray | None:
         """Dense per-segment entity histograms for segments of ``step`` blocks.
 
         Row ``j`` holds the per-entity weight totals of block positions
@@ -166,14 +164,6 @@ class Credits:
         :data:`_SEGMENT_CACHE_SLOTS` steps), so one attribution pass serves
         every sweep that shares a step — e.g. the gini, entropy and
         nakamoto figures over the same window family.
-
-        With ``workers`` >= 2 the segment rows are built in contiguous
-        shards on a :class:`~repro.parallel.WorkerPool` and concatenated in
-        shard order.  Each histogram cell belongs to exactly one segment —
-        hence one shard — and rows keep their block order inside a shard,
-        so every cell accumulates the same addends in the same order as
-        the serial full-range ``np.bincount``: the merged matrix is
-        bitwise identical, and the cache is shared across worker counts.
 
         Returns ``None`` when the dense matrix would exceed the memory
         budget (tiny steps over huge entity spaces); callers must then fall
@@ -190,36 +180,23 @@ class Credits:
         n_entities = self.n_entities
         if n_segments == 0 or n_segments * n_entities > _SEGMENT_BUDGET:
             return None
-        n_workers = resolve_workers(workers) if workers is not None else 1
         with obs.span(
-            "attribution.segment_histograms",
-            step=step, segments=n_segments, workers=n_workers,
+            "attribution.segment_histograms", step=step, segments=n_segments
         ):
-            if n_workers >= 2 and n_segments >= 2:
-                ranges = shard_ranges(n_segments, n_workers)
-                with WorkerPool(n_workers, payload=self) as pool:
-                    parts = pool.map_shards(
-                        _work.segment_histogram_shard,
-                        [(step, seg_lo, seg_hi) for seg_lo, seg_hi in ranges],
-                    )
-                histograms = np.concatenate(parts, axis=0)
-            else:
-                rows_end = int(self.block_offsets[n_segments * step])
-                segment_of = self.block_positions[:rows_end] // step
-                keys = segment_of * n_entities + self.entity_ids[:rows_end]
-                histograms = np.bincount(
-                    keys,
-                    weights=self.weights[:rows_end],
-                    minlength=n_segments * n_entities,
-                ).reshape(n_segments, n_entities)
+            rows_end = int(self.block_offsets[n_segments * step])
+            segment_of = self.block_positions[:rows_end] // step
+            keys = segment_of * n_entities + self.entity_ids[:rows_end]
+            histograms = np.bincount(
+                keys,
+                weights=self.weights[:rows_end],
+                minlength=n_segments * n_entities,
+            ).reshape(n_segments, n_entities)
         while len(self._segment_cache) >= _SEGMENT_CACHE_SLOTS:
             self._segment_cache.pop(next(iter(self._segment_cache)))
         self._segment_cache[step] = histograms
         return histograms
 
-    def sliding_histograms(
-        self, size: int, step: int, workers: int | str | None = None
-    ) -> np.ndarray | None:
+    def sliding_histograms(self, size: int, step: int) -> np.ndarray | None:
         """Dense per-window histograms for the standard sliding family.
 
         Window ``i`` covers block positions ``[i*step, i*step + size)`` —
@@ -241,7 +218,7 @@ class Credits:
         segments_per_window = size // step
         if n_windows * self.n_entities > _SEGMENT_BUDGET:
             return None
-        segments = self.segment_histograms(step, workers=workers)
+        segments = self.segment_histograms(step)
         if segments is None:
             return None
         windows = np.zeros((n_windows, self.n_entities), dtype=np.float64)
@@ -254,31 +231,15 @@ def attribute(
     chain: Chain,
     policy: str = "per-address",
     registry: PoolRegistry | None = None,
-    workers: int | str | None = None,
 ) -> Credits:
-    """Apply an attribution ``policy`` to ``chain`` and return its credits.
-
-    ``workers`` >= 2 (or ``"auto"`` on a multi-core host) shards the
-    per-credit array construction across contiguous block ranges on a
-    :class:`~repro.parallel.WorkerPool`; the shards are concatenated in
-    block order, so the result is byte-identical to the serial path for
-    every policy.  The sequential parts — the pool policy's
-    first-appearance entity numbering and the CSR offsets — stay on the
-    coordinator.
-    """
+    """Apply an attribution ``policy`` to ``chain`` and return its credits."""
     if policy not in ATTRIBUTION_POLICIES:
         raise AttributionError(
             f"unknown policy {policy!r}; expected one of {ATTRIBUTION_POLICIES}"
         )
     if policy == "pool" and registry is None:
         raise AttributionError("the 'pool' policy requires a PoolRegistry")
-    n_workers = resolve_workers(workers) if workers is not None else 1
-    with obs.span(
-        "attribution.attribute",
-        chain=chain.spec.name, policy=policy, workers=n_workers,
-    ):
-        if n_workers >= 2 and chain.n_blocks >= 2:
-            return _attribute_parallel(chain, policy, registry, n_workers)
+    with obs.span("attribution.attribute", chain=chain.spec.name, policy=policy):
         return _attribute(chain, policy, registry)
 
 
@@ -288,8 +249,7 @@ def _pool_remap(
     """Producer-id -> pool-entity-id table plus the pool entity names.
 
     Entity ids are assigned in first appearance order over the producer
-    name list, which is inherently sequential — both the serial and the
-    sharded attribution paths build this on the coordinator.
+    name list.
     """
     remap = np.empty(len(chain.producer_names), dtype=np.int64)
     entity_names: list[str] = []
@@ -303,38 +263,6 @@ def _pool_remap(
             entity_names.append(entity)
         remap[pid] = eid
     return remap, entity_names
-
-
-def _attribute_parallel(
-    chain: Chain, policy: str, registry: PoolRegistry | None, n_workers: int
-) -> Credits:
-    """Sharded attribution: per-block-range credit arrays, merged in order."""
-    remap = None
-    if policy == "pool":
-        remap, entity_names = _pool_remap(chain, registry)
-    else:
-        entity_names = list(chain.producer_names)
-    ranges = shard_ranges(chain.n_blocks, n_workers)
-    with WorkerPool(n_workers, payload=(chain, remap)) as pool:
-        parts = pool.map_shards(
-            _work.attribution_shard,
-            [(policy, lo, hi) for lo, hi in ranges],
-        )
-    n = chain.n_blocks
-    if policy in ("per-address", "fractional"):
-        block_offsets = chain.offsets.copy()
-    else:
-        block_offsets = np.arange(n + 1, dtype=np.int64)
-    return Credits(
-        chain_name=chain.spec.name,
-        policy=policy,
-        entity_ids=np.concatenate([p[0] for p in parts]),
-        weights=np.concatenate([p[1] for p in parts]),
-        block_positions=np.concatenate([p[2] for p in parts]),
-        timestamps=np.concatenate([p[3] for p in parts]),
-        block_offsets=block_offsets,
-        entity_names=entity_names,
-    )
 
 
 def _attribute(

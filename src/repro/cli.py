@@ -26,9 +26,10 @@ per-stage resource rollup after the command (pair with ``--trace`` to
 keep the annotated spans).  ``repro top`` is a live dashboard over a
 serving monitor's ``/status``.  ``--log-json`` and ``--log-level``
 configure structured logging (span-correlated records).
-``--workers auto|N`` sizes the sharded execution pool used by the
-measurement engine and SQL aggregation (``auto`` = one worker per CPU;
-``1`` forces the serial path; see ``docs/PARALLELISM.md``).
+``--workers auto|N`` decides whether ``report``, ``figure`` and ``study``
+compute the two chains on a two-worker pool (2 or more) or in-process
+(1), and sizes the SQL group-by pool of ``query`` (``auto`` = one worker
+per usable CPU; see ``docs/PARALLELISM.md``).
 
 Exit codes are part of the contract: ``2`` for argument/validation
 errors (including a malformed ``--inject-faults`` spec or ``--slo``
@@ -106,8 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_workers_arg,
         default="auto",
         metavar="auto|N",
-        help="worker processes for sharded measurement/attribution/SQL "
-        "('auto' = one per CPU, 1 = serial; default auto)",
+        help="worker processes: 2+ computes the two chains of report/figure/"
+        "study in parallel and partitions large SQL group-bys "
+        "('auto' = one per usable CPU, 1 = serial; default auto)",
     )
     parser.add_argument(
         "--trace",
@@ -640,7 +642,7 @@ def _cmd_measure(study: DecentralizationStudy, args: argparse.Namespace) -> int:
             f"{result.report.dropped} dropped"
         )
         engine = MeasurementEngine.from_chain(
-            result.chain, quality=result.report.as_dict(), workers=args.workers
+            result.chain, quality=result.report.as_dict()
         )
     else:
         engine = study.engine(chain_key)

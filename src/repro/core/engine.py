@@ -23,8 +23,6 @@ from repro.chain.pools import PoolRegistry
 from repro.core.series import MeasurementSeries
 from repro.errors import MeasurementError
 from repro.metrics.base import DistributionBatch, Metric, compute_batch, get_metric
-from repro.parallel import WorkerPool, resolve_workers, shard_ranges
-from repro.parallel import work as _work
 from repro.windows.base import BlockWindow, TimeWindow, Window
 from repro.windows.fixed import FixedCalendarWindows
 from repro.windows.sliding import SlidingBlockWindows
@@ -39,22 +37,11 @@ class MeasurementEngine:
     #: How many (size, step) sliding batches to keep per engine.
     _SLIDING_CACHE_SLOTS = 8
 
-    def __init__(
-        self,
-        credits: Credits,
-        quality: dict | None = None,
-        workers: int | str | None = "auto",
-    ) -> None:
+    def __init__(self, credits: Credits, quality: dict | None = None) -> None:
         self.credits = credits
         #: Ingest data-quality report stamped onto every series this
         #: engine produces (``None`` for a clean/direct ingest).
         self.quality = quality
-        #: Default worker count for the batched sweeps.  ``"auto"`` means
-        #: one worker per core, which on a single-core host resolves to 1
-        #: — the serial fast path, bit-for-bit the pre-parallel code.
-        #: Parallel merges are byte-identical to serial regardless (see
-        #: ``docs/PARALLELISM.md``), so this only changes wall clock.
-        self.workers = resolve_workers(workers)
         # (size, step) -> (batch, indices, labels, skipped); lets the figure
         # suite evaluate gini/entropy/nakamoto over one shared sweep.
         self._sliding_cache: dict[tuple[int, int], tuple] = {}
@@ -66,24 +53,17 @@ class MeasurementEngine:
         policy: str = "per-address",
         registry: PoolRegistry | None = None,
         quality: dict | None = None,
-        workers: int | str | None = "auto",
+        workers: int | str | None = None,
     ) -> "MeasurementEngine":
         """Attribute ``chain`` under ``policy`` and wrap the credits.
 
-        ``workers`` feeds both the attribution pass (sharded across block
-        ranges when >= 2) and the engine's sweep default.
+        ``workers`` is accepted for compatibility and unused: attribution
+        and the engine's sweeps always run in-process (the study
+        parallelizes across chains instead; see ``docs/PARALLELISM.md``).
         """
         return cls(
-            attribute(chain, policy=policy, registry=registry, workers=workers),
-            quality=quality,
-            workers=workers,
+            attribute(chain, policy=policy, registry=registry), quality=quality
         )
-
-    def _resolve_workers(self, workers: int | str | None) -> int:
-        """Per-call worker count: ``None`` falls back to the engine default."""
-        if workers is None:
-            return self.workers
-        return resolve_workers(workers)
 
     # -- generic measurement -----------------------------------------------------
 
@@ -133,7 +113,6 @@ class MeasurementEngine:
         metrics: Sequence[str | Metric],
         windows: Sequence[Window],
         window_desc: str | None = None,
-        workers: int | str | None = None,
     ) -> dict[str, MeasurementSeries]:
         """Compute several metrics over one window sweep.
 
@@ -142,47 +121,25 @@ class MeasurementEngine:
         :func:`~repro.metrics.base.compute_batch`, so metrics with
         vectorized kernels share a single sort per window.  Returns one
         series per metric, keyed by metric name.
-
-        With ``workers`` >= 2 (``None`` uses the engine default) the
-        per-window distribution builds are sharded across a
-        :class:`~repro.parallel.WorkerPool` and gathered in window order;
-        each worker runs the identical ``Credits.distribution`` call on
-        the identical credit slice, and the batch construction and metric
-        kernels stay on the coordinator, so the series are byte-identical
-        to the serial sweep.
         """
         resolved = [get_metric(m) if isinstance(m, str) else m for m in metrics]
-        n_workers = self._resolve_workers(workers)
-        ranges: list[tuple[int, int]] = []
         indices: list[int] = []
         labels: list[str] = []
+        distributions: list[np.ndarray] = []
         skipped = 0
         with obs.span(
             "engine.measure_many",
             metrics=[m.name for m in resolved],
             windows=len(windows),
-            workers=n_workers,
         ):
             for window in windows:
                 lo, hi = self._credit_range(window)
                 if hi <= lo:
                     skipped += 1
                     continue
-                ranges.append((lo, hi))
+                distributions.append(self.credits.distribution(lo, hi))
                 indices.append(window.index)
                 labels.append(window.label)
-            if n_workers >= 2 and len(ranges) >= 2:
-                shards = shard_ranges(len(ranges), n_workers)
-                with WorkerPool(n_workers, payload=self.credits) as pool:
-                    parts = pool.map_shards(
-                        _work.distribution_shard,
-                        [(ranges[s_lo:s_hi],) for s_lo, s_hi in shards],
-                    )
-                distributions = [d for part in parts for d in part]
-            else:
-                distributions = [
-                    self.credits.distribution(lo, hi) for lo, hi in ranges
-                ]
             batch = DistributionBatch.from_distributions(distributions)
         return self._series_from_batch(
             resolved,
@@ -197,13 +154,10 @@ class MeasurementEngine:
         self,
         metrics: Sequence[str | Metric],
         granularity: str,
-        workers: int | str | None = None,
     ) -> dict[str, MeasurementSeries]:
         """Several metrics over one fixed-calendar sweep (one pass)."""
         windows = FixedCalendarWindows(granularity).generate()
-        return self.measure_many(
-            metrics, windows, window_desc=f"fixed-{granularity}", workers=workers
-        )
+        return self.measure_many(metrics, windows, window_desc=f"fixed-{granularity}")
 
     def measure_sliding_many(
         self,
@@ -217,13 +171,12 @@ class MeasurementEngine:
         Uses the incremental segment-histogram fast path when the family
         decomposes into aligned segments (``size % step == 0``, the
         paper's M = N/2 always does); otherwise falls back to the generic
-        batched sweep.  ``workers`` shards the segment-histogram build
-        (fast path) or the per-window distributions (fallback); both
-        merges are byte-identical to serial.
+        batched sweep.  ``workers`` is accepted for compatibility and
+        unused: the sweep always runs in-process.
         """
         generator = SlidingBlockWindows(size, step)
         resolved = [get_metric(m) if isinstance(m, str) else m for m in metrics]
-        fast = self._measure_sliding_fast(resolved, generator, workers=workers)
+        fast = self._measure_sliding_fast(resolved, generator)
         if fast is not None:
             obs.counter("engine.sliding.fast_path")
             return fast
@@ -235,10 +188,7 @@ class MeasurementEngine:
         )
         windows = generator.generate(self.credits.n_blocks)
         return self.measure_many(
-            resolved,
-            windows,
-            window_desc=f"sliding-{generator.size}/{generator.step}",
-            workers=workers,
+            resolved, windows, window_desc=f"sliding-{generator.size}/{generator.step}"
         )
 
     def distribution_for(self, window: Window) -> np.ndarray:
@@ -263,7 +213,6 @@ class MeasurementEngine:
         metric: str | Metric,
         size: int,
         step: int | None = None,
-        workers: int | str | None = None,
     ) -> MeasurementSeries:
         """Count-based sliding windows (paper §III); ``step`` defaults to N/2.
 
@@ -273,7 +222,7 @@ class MeasurementEngine:
         """
         resolved = get_metric(metric) if isinstance(metric, str) else metric
         generator = SlidingBlockWindows(size, step)
-        fast = self._measure_sliding_fast([resolved], generator, workers=workers)
+        fast = self._measure_sliding_fast([resolved], generator)
         if fast is not None:
             obs.counter("engine.sliding.fast_path")
             return fast[resolved.name]
@@ -330,27 +279,19 @@ class MeasurementEngine:
         self,
         metrics: Sequence[Metric],
         generator: SlidingBlockWindows,
-        workers: int | str | None = None,
     ) -> dict[str, MeasurementSeries] | None:
         """The incremental sliding sweep, or ``None`` when it doesn't apply.
 
         Derives every window's dense histogram from the credits' shared
         segment partials (one attribution pass per step size) and hands
-        the whole sweep to the batched metric kernels.  The segment build
-        is sharded when ``workers`` >= 2; the cache may be shared across
-        worker counts because the merged matrix is bitwise identical.
+        the whole sweep to the batched metric kernels.
         """
         size, step = generator.size, generator.step
-        n_workers = self._resolve_workers(workers)
         cached = self._sliding_cache.get((size, step))
         if cached is None:
             obs.counter("engine.sliding_cache.miss")
-            with obs.span(
-                "engine.sliding_sweep", size=size, step=step, workers=n_workers
-            ):
-                matrix = self.credits.sliding_histograms(
-                    size, step, workers=n_workers
-                )
+            with obs.span("engine.sliding_sweep", size=size, step=step):
+                matrix = self.credits.sliding_histograms(size, step)
             if matrix is None:
                 return None
             n_windows = matrix.shape[0]

@@ -1,15 +1,16 @@
-"""Sharded multi-core execution: process pools with deterministic merges.
+"""Multi-core execution: process pools with deterministic merges.
 
-The package splits embarrassingly parallel stages of the pipeline —
-per-window distributions, segment partial histograms, block-range
-attribution, and SQL partial aggregates — into contiguous shards executed
-on a :class:`WorkerPool`, then merges the mergeable partials on the
-coordinator **in shard order** so results stay byte-identical to the
-serial code paths (see ``docs/PARALLELISM.md`` for the argument).
+Two stages of the pipeline run on a :class:`WorkerPool`, and only these
+two, because only they win measurably (see ``docs/PARALLELISM.md``):
 
-``workers="auto"`` resolves to one worker per core, which on a single-core
-host is the serial fast path: no pool is created and the pre-parallel
-code runs unchanged.
+* the study fan-out — each chain's half of the paper study is one task,
+  two tasks on one pool per study
+  (:meth:`repro.analysis.study.DecentralizationStudy.chain_results`);
+* the SQL group-by over 50k rows or more — partial aggregates over
+  contiguous row partitions, merged on the coordinator **in shard order**.
+
+``workers="auto"`` resolves to one worker per usable CPU, which with a
+single usable CPU is the serial path: no pool is created.
 """
 
 from repro.parallel.pool import (
@@ -19,6 +20,7 @@ from repro.parallel.pool import (
     pool_status,
     resolve_workers,
     shard_ranges,
+    usable_cpus,
     worker_payload,
 )
 
@@ -29,5 +31,6 @@ __all__ = [
     "pool_status",
     "resolve_workers",
     "shard_ranges",
+    "usable_cpus",
     "worker_payload",
 ]

@@ -1,25 +1,27 @@
-"""Process-pool plumbing for the sharded execution layer.
+"""Process-pool plumbing for the parallel execution layer.
 
-Three building blocks, shared by the engine, attribution and SQL layers:
+Three building blocks, shared by the study fan-out and the SQL layer:
 
 * :func:`resolve_workers` — turn a ``workers`` argument (``"auto"``, an
   int, or ``None``) into a concrete worker count.  ``"auto"`` resolves to
-  ``os.cpu_count()``, so single-core hosts take the serial fast path and
-  stay bit-for-bit on the pre-parallel code; an explicit ``N`` is honored
-  even on one core (the pool simply oversubscribes — how the CI
-  parallel-smoke job exercises the sharded paths).
+  the number of CPUs this process may run on (its scheduler affinity, so
+  ``taskset -c 0`` means 1), and a single usable CPU takes the serial
+  path; an explicit ``N`` is honored even on one core (the pool simply
+  oversubscribes — how the CI parallel-smoke job exercises the parallel
+  paths).
 * :func:`shard_ranges` — deterministic contiguous ``[lo, hi)`` partitions
   of ``n`` items into at most ``k`` shards.  Merging worker results in
   shard order therefore reproduces the serial iteration order exactly,
-  which is what makes the parallel engine/attribution paths byte-identical
-  to serial.
+  which is what keeps the partitioned SQL group-by numbering identical to
+  serial.
 * :class:`WorkerPool` — a context-managed ``ProcessPoolExecutor`` whose
   workers (a) reset the process-wide tracer so a forked child never
   inherits a live recording session or its HTTP-server callbacks, and
-  (b) can share one large read-only *payload* (a chain or credits object)
-  without pickling it per task: with the ``fork`` start method the payload
-  is inherited copy-on-write, otherwise it is shipped once per worker
-  through the initializer.
+  (b) can share one large read-only *payload* (the study's chains, the
+  SQL key/argument columns) without pickling it per task.  The payload
+  rides in the executor's initializer arguments, so each pool's workers
+  see that pool's payload: with the ``fork`` start method it is inherited
+  copy-on-write (never pickled), otherwise it is shipped once per worker.
 
 Distributed tracing: while the coordinator's tracer is recording,
 ``map_shards`` propagates its trace context (:meth:`Tracer.context`) with
@@ -51,12 +53,11 @@ from typing import Any, Callable, Sequence
 from repro import obs
 from repro.errors import ParallelError
 
-#: The value meaning "one worker per available core".
+#: The value meaning "one worker per usable CPU".
 AUTO = "auto"
 
-#: Read-only payload shared with workers (set pre-fork, inherited
-#: copy-on-write under the ``fork`` start method; shipped via the
-#: initializer otherwise).  Workers read it through :func:`worker_payload`.
+#: Inside a worker: the read-only payload of the pool that started it,
+#: installed by the initializer.  Read it through :func:`worker_payload`.
 _PAYLOAD: Any = None
 
 #: True inside a pool worker process (set by the initializer).
@@ -74,13 +75,28 @@ _ACTIVE_POOLS = 0
 _LAST_POOL: dict | None = None
 
 
+def _cpu_ids() -> list[int]:
+    """The CPUs this process may run on, ascending; empty where the
+    platform has no scheduler affinity."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return []  # pragma: no cover - non-Linux
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its scheduler affinity where the
+    platform has one (``taskset -c 0`` gives 1), else ``os.cpu_count()``."""
+    return max(1, len(_cpu_ids()) or os.cpu_count() or 1)
+
+
 def resolve_workers(workers: int | str | None) -> int:
     """Resolve a ``workers`` argument to a concrete positive worker count.
 
-    ``None`` and ``"auto"`` mean one worker per core (``os.cpu_count()``),
-    so a single-core host resolves to 1 — the serial fast path.  An
-    explicit integer is taken literally (2 workers on a 1-core host
-    oversubscribe, which is still deterministic, just not faster).
+    ``None`` and ``"auto"`` mean one worker per usable CPU
+    (:func:`usable_cpus`), so a single usable CPU resolves to 1 — the
+    serial path.  An explicit integer is taken literally (2 workers on a
+    1-core host oversubscribe, which is still deterministic, just not
+    faster).
 
     >>> resolve_workers(3)
     3
@@ -88,7 +104,7 @@ def resolve_workers(workers: int | str | None) -> int:
     True
     """
     if workers is None or workers == AUTO:
-        return max(1, os.cpu_count() or 1)
+        return usable_cpus()
     if isinstance(workers, bool) or not isinstance(workers, int):
         raise ParallelError(
             f"workers must be a positive int or 'auto', got {workers!r}"
@@ -137,7 +153,7 @@ def worker_payload() -> Any:
     return _PAYLOAD
 
 
-def _worker_init(payload: Any, has_payload: bool) -> None:
+def _worker_init(payload: Any) -> None:
     """Per-worker initializer: scrub inherited state, install the payload.
 
     Under ``fork`` the child starts as a memory copy of the coordinator:
@@ -151,11 +167,28 @@ def _worker_init(payload: Any, has_payload: bool) -> None:
     """
     global _IN_WORKER, _PAYLOAD
     _IN_WORKER = True
-    if has_payload:
-        _PAYLOAD = payload
+    _PAYLOAD = payload
     tracer = obs.get_tracer()
     tracer.disable()
     tracer.reset()
+
+
+def _run_shard(
+    cpu: int | None, ctx: dict | None, fn: Callable[..., Any], args: tuple, index: int
+) -> Any:
+    """One shard task, worker side: pin to ``cpu``, then run ``fn(*args)``.
+
+    ``map_shards`` deals its shards over the coordinator's CPUs in turn.
+    A kernel that does not balance freshly forked workers can otherwise
+    leave every worker on the coordinator's CPU while another CPU idles,
+    and the pool then only adds its own cost.  With a trace context the
+    task runs under :func:`_traced_task` and returns ``(result, envelope)``.
+    """
+    if cpu is not None:
+        os.sched_setaffinity(0, {cpu})
+    if ctx is None:
+        return fn(*args)
+    return _traced_task(ctx, fn, args, index)
 
 
 def _traced_task(
@@ -197,11 +230,10 @@ def _traced_task(
 class WorkerPool:
     """A deterministic-merge process pool over an optional shared payload.
 
-    Use as a context manager around one sharded operation::
+    Use as a context manager around one parallel operation::
 
-        with WorkerPool(4, payload=credits) as pool:
-            parts = pool.map_shards(_shard_fn, [(lo, hi) for lo, hi in ranges])
-        merged = np.concatenate(parts)   # shard order == serial order
+        with WorkerPool(2, payload=chains) as pool:
+            btc, eth = pool.map_shards(_chain_task, [("btc",), ("eth",)])
 
     ``map_shards`` submits one task per shard and gathers results **in
     shard order** regardless of completion order, so merges are
@@ -210,7 +242,7 @@ class WorkerPool:
     """
 
     def __init__(self, workers: int, payload: Any = None) -> None:
-        global _PAYLOAD, _ACTIVE_POOLS, _LAST_POOL
+        global _ACTIVE_POOLS, _LAST_POOL
         self.workers = resolve_workers(workers)
         if self.workers < 2:
             raise ParallelError(
@@ -220,18 +252,13 @@ class WorkerPool:
         start_methods = multiprocessing.get_all_start_methods()
         self._fork = "fork" in start_methods
         context = multiprocessing.get_context("fork" if self._fork else None)
-        if self._fork:
-            # Fork children inherit the payload copy-on-write; no pickling.
-            _PAYLOAD = payload
-            initargs = (None, False)
-        else:  # pragma: no cover - non-fork platforms (win/macOS spawn)
-            initargs = (payload, payload is not None)
-        self._payload_installed = payload is not None
+        # Fork children inherit the initializer arguments from memory (no
+        # pickling); spawn children receive them pickled, once each.
         self._executor = ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=context,
             initializer=_worker_init,
-            initargs=initargs,
+            initargs=(payload,),
         )
         self._created = time.time()
         self._submitted = 0
@@ -250,22 +277,29 @@ class WorkerPool:
     ) -> list[Any]:
         """Run ``fn(*args)`` for each shard; results in shard order.
 
-        ``fn`` must be a module-level (picklable) function.  Each shard's
-        wait is recorded as a ``parallel.shard`` span so traces show the
-        coordinator-side critical path per shard.  While the coordinator
-        tracer is recording, each task additionally runs under a worker
-        child tracer whose spans/metrics come back with the result and are
-        adopted into the coordinator trace (see :func:`_traced_task`).
+        ``fn`` must be a module-level (picklable) function.  Shard ``i``
+        runs pinned to the coordinator's ``i``-th usable CPU, cycling (see
+        :func:`_run_shard`).  Each shard's wait is recorded as a
+        ``parallel.shard`` span so traces show the coordinator-side
+        critical path per shard.  While the coordinator tracer is
+        recording, each task additionally runs under a worker child tracer
+        whose spans/metrics come back with the result and are adopted into
+        the coordinator trace (see :func:`_traced_task`).
         """
         tracer = obs.get_tracer()
         ctx = tracer.context()
-        if ctx is None:
-            futures = [self._executor.submit(fn, *args) for args in shard_args]
-        else:
-            futures = [
-                self._executor.submit(_traced_task, ctx, fn, tuple(args), i)
-                for i, args in enumerate(shard_args)
-            ]
+        cpus = _cpu_ids()
+        futures = [
+            self._executor.submit(
+                _run_shard,
+                cpus[i % len(cpus)] if cpus else None,
+                ctx,
+                fn,
+                tuple(args),
+                i,
+            )
+            for i, args in enumerate(shard_args)
+        ]
         n = len(futures)
         self._submitted += n
         with _STATS_LOCK:
@@ -304,14 +338,12 @@ class WorkerPool:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the executor down and release the shared payload."""
-        global _PAYLOAD, _ACTIVE_POOLS
+        """Shut the executor and its workers down."""
+        global _ACTIVE_POOLS
         if self._executor is None:
             return
         self._executor.shutdown(wait=True)
         self._executor = None
-        if self._fork and self._payload_installed:
-            _PAYLOAD = None
         with _STATS_LOCK:
             _ACTIVE_POOLS -= 1
             globals()["_LAST_POOL"] = self._snapshot_locked()
@@ -336,14 +368,17 @@ class WorkerPool:
 def pool_status() -> dict:
     """JSON-ready snapshot of the worker-pool layer for ``/status``.
 
-    Reports the host parallelism, how many pools are currently open, the
-    lifetime pool/task counters, and the most recent pool's shape — enough
-    for an operator to see whether sharded execution is active and sized
-    as expected.
+    Reports the host parallelism (``cpu_count`` CPUs on the host, of which
+    ``usable_cpus`` are in this process's affinity mask and size
+    ``auto_workers``), how many pools are currently open, the lifetime
+    pool/task counters, and the most recent pool's shape — enough for an
+    operator to see whether parallel execution is active and sized as
+    expected.
     """
     with _STATS_LOCK:
         return {
             "cpu_count": os.cpu_count() or 1,
+            "usable_cpus": usable_cpus(),
             "auto_workers": resolve_workers(AUTO),
             "active_pools": _ACTIVE_POOLS,
             "lifetime": dict(_STATS),

@@ -2,15 +2,14 @@
 
 Every function here runs in a worker process: it must be picklable (hence
 module-level), read its large inputs from :func:`repro.parallel.pool.
-worker_payload`, and return plain numpy arrays / tuples that the
+worker_payload`, and return plain numpy arrays / dicts that the
 coordinator merges **in shard order**.  None of them may mutate the
 payload — under the ``fork`` start method it is shared copy-on-write with
 the coordinator and the other workers.
 
-The shard functions are deliberately thin wrappers around the exact
-numpy expressions the serial code paths use, restricted to a contiguous
-slice; byte-identity of the merged result then follows from the slicing
-argument documented at each call site (see ``docs/PARALLELISM.md``).
+The study's per-chain task lives next to the study
+(:func:`repro.analysis.study.study_chain`); this module holds the SQL
+partial aggregate and the fork-safety probe.
 """
 
 from __future__ import annotations
@@ -20,92 +19,6 @@ import time
 import numpy as np
 
 from repro.parallel import pool as _pool
-
-# -- engine: per-window distributions ------------------------------------------
-
-
-def distribution_shard(pairs: list[tuple[int, int]]) -> list[np.ndarray]:
-    """Distributions for a shard of credit-row ranges.
-
-    Payload: a :class:`~repro.chain.attribution.Credits`.  Each ``(lo, hi)``
-    pair is one window's credit-row range; the exact same
-    ``Credits.distribution`` call the serial sweep makes runs here, so each
-    returned array is bitwise equal to its serial counterpart.
-    """
-    credits = _pool.worker_payload()
-    return [credits.distribution(lo, hi) for lo, hi in pairs]
-
-
-# -- credits: segment partial histograms ---------------------------------------
-
-
-def segment_histogram_shard(step: int, seg_lo: int, seg_hi: int) -> np.ndarray:
-    """Per-segment entity histograms for segments ``[seg_lo, seg_hi)``.
-
-    Payload: a :class:`~repro.chain.attribution.Credits`.  Mirrors the
-    dense ``np.bincount`` in ``Credits.segment_histograms`` over just the
-    credit rows of this segment range.  Because every histogram cell
-    belongs to exactly one segment — hence one shard — and rows keep their
-    block order inside the shard, each cell accumulates the same addends
-    in the same order as the serial full-range bincount: the concatenated
-    shard matrices are bitwise equal to the serial matrix.
-    """
-    credits = _pool.worker_payload()
-    n_entities = credits.n_entities
-    row_lo = int(credits.block_offsets[seg_lo * step])
-    row_hi = int(credits.block_offsets[seg_hi * step])
-    segment_of = credits.block_positions[row_lo:row_hi] // step - seg_lo
-    keys = segment_of * n_entities + credits.entity_ids[row_lo:row_hi]
-    return np.bincount(
-        keys,
-        weights=credits.weights[row_lo:row_hi],
-        minlength=(seg_hi - seg_lo) * n_entities,
-    ).reshape(seg_hi - seg_lo, n_entities)
-
-
-# -- attribution: per-policy block-range shards --------------------------------
-
-
-def attribution_shard(
-    policy: str, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Credit arrays for block positions ``[lo, hi)`` under ``policy``.
-
-    Payload: ``(chain, remap)`` where ``remap`` is the pool-policy
-    producer-to-entity id table built on the coordinator (``None`` for the
-    other policies — entity name spaces must be constructed sequentially
-    to preserve first-appearance ids, so that step never shards).
-
-    Returns ``(entity_ids, weights, block_positions, timestamps)`` for the
-    shard's credit rows.  Every array is the restriction of the serial
-    whole-chain expression to this block range — ``np.repeat`` over a
-    sliced ``counts`` equals the slice of ``np.repeat`` over the full
-    ``counts`` — so concatenating shards in order is bitwise equal to the
-    serial arrays.
-    """
-    chain, remap = _pool.worker_payload()
-    counts = chain.producer_counts()[lo:hi]
-    if policy in ("per-address", "fractional"):
-        row_lo = int(chain.offsets[lo])
-        row_hi = int(chain.offsets[hi])
-        entity_ids = chain.producer_ids[row_lo:row_hi].copy()
-        if policy == "per-address":
-            weights = np.ones(row_hi - row_lo, dtype=np.float64)
-        else:
-            weights = np.repeat(1.0 / counts.astype(np.float64), counts)
-        block_positions = np.repeat(np.arange(lo, hi, dtype=np.int64), counts)
-        timestamps = np.repeat(chain.timestamps[lo:hi], counts)
-        return entity_ids, weights, block_positions, timestamps
-    # first-address / pool: one credit per block.
-    first_ids = chain.producer_ids[chain.offsets[lo:hi]]
-    entity_ids = remap[first_ids] if remap is not None else first_ids.copy()
-    return (
-        entity_ids,
-        np.ones(hi - lo, dtype=np.float64),
-        np.arange(lo, hi, dtype=np.int64),
-        chain.timestamps[lo:hi].copy(),
-    )
-
 
 # -- sql: partial aggregates over row partitions -------------------------------
 

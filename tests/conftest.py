@@ -31,6 +31,19 @@ def eth_chain() -> Chain:
 
 
 @pytest.fixture(scope="session")
+def short_chains(btc_chain: Chain, eth_chain: Chain) -> dict[str, Chain]:
+    """Both chains cut short, keyed as ``DecentralizationStudy`` takes them.
+
+    Long enough for every figure's window family (the Ethereum month-sized
+    sliding family spans 180,000 blocks), short enough for quick studies.
+    """
+    return {
+        "bitcoin": btc_chain.slice_blocks(0, 9_000),
+        "ethereum": eth_chain.slice_blocks(0, 200_000),
+    }
+
+
+@pytest.fixture(scope="session")
 def btc_engine(btc_chain: Chain) -> MeasurementEngine:
     return MeasurementEngine.from_chain(btc_chain)
 
@@ -108,3 +121,32 @@ def tiny_chain() -> Chain:
             ["c"],
         ]
     )
+
+
+def assert_series_maps_identical(a, b) -> None:
+    """Two label -> MeasurementSeries maps agree down to the array bytes."""
+    assert list(a) == list(b)
+    for label, series in a.items():
+        other = b[label]
+        assert series.values.tobytes() == other.values.tobytes(), label
+        assert series.indices.tobytes() == other.indices.tobytes(), label
+        assert series.labels == other.labels, label
+        assert series.skipped == other.skipped, label
+        assert series.window_desc == other.window_desc, label
+        assert series.chain_name == other.chain_name, label
+
+
+def assert_chain_studies_identical(a, b) -> None:
+    """Two :class:`~repro.analysis.study.ChainStudy` results are identical."""
+    assert (a.key, a.name, a.n_blocks, a.start_height, a.end_height, a.n_producers) == (
+        b.key, b.name, b.n_blocks, b.start_height, b.end_height, b.n_producers
+    )
+    assert a.events == b.events
+    assert list(a.figures) == list(b.figures)
+    for key, figure in a.figures.items():
+        other = b.figures[key]
+        assert figure.title == other.title, key
+        assert figure.notes == other.notes, key
+        assert figure.distributions == other.distributions, key
+        assert_series_maps_identical(figure.series, other.series)
+    assert_series_maps_identical(a.daily, b.daily)

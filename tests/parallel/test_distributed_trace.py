@@ -1,61 +1,45 @@
 """Acceptance tests for distributed tracing across the worker pool.
 
-A ``workers=2`` sweep with tracing (and profiling) enabled must produce
-ONE merged trace on the coordinator where every worker-side
-``worker.shard`` span carries its worker pid and parents — transitively
-— under the coordinator's sweep span; the written file must pass
-``repro trace --validate``'s checker; and the numeric results must stay
-**byte-identical** to the untraced serial run, because observability is
-never allowed to change an answer.
+A ``workers=2`` study with tracing (and profiling) enabled fans its two
+chains out as two pool tasks.  It must produce ONE merged trace on the
+coordinator where each chain's ``worker.shard`` span carries its own
+worker pid and parents — transitively — under the coordinator's
+``study.chains`` fan-out span; the written file must pass ``repro trace
+--validate``'s checker; and the results must stay **byte-identical** to
+the untraced serial run, because observability is never allowed to
+change an answer.
 """
 
 import os
 
-import numpy as np
 import pytest
 
 from repro import obs
-from repro.chain.attribution import attribute
-from repro.core.engine import MeasurementEngine
+from repro.analysis.study import DecentralizationStudy
 from repro.obs import profile as profile_mod
 from repro.obs.export import load_trace_file, validate_trace_file, write_trace
-from repro.windows.base import BlockWindow
 
-from tests.conftest import make_tiny_chain
-
-METRICS = ("gini", "entropy", "nakamoto")
-
-
-def _producers(n_blocks: int, seed: int = 7) -> list[list[str]]:
-    rng = np.random.default_rng(seed)
-    names = [f"m{i}" for i in range(9)]
-    return [[names[int(rng.integers(0, len(names)))]] for _ in range(n_blocks)]
-
-
-def _windows(n_blocks: int, size: int = 16, step: int = 8) -> list[BlockWindow]:
-    return [
-        BlockWindow(i, f"w{i}", lo, min(lo + size, n_blocks))
-        for i, lo in enumerate(range(0, n_blocks - size + 1, step))
-    ]
+from tests.conftest import assert_chain_studies_identical
 
 
 @pytest.fixture(scope="module")
-def engine():
-    chain = make_tiny_chain(_producers(96))
-    return MeasurementEngine(attribute(chain, "per-address"), workers=1)
-
-
-@pytest.fixture
-def traced_profiled():
-    """Tracing + profiling on, torn down and reset afterwards."""
+def traced(short_chains, tmp_path_factory):
+    """One traced, profiled ``workers=2`` study: its spans, results and file."""
     obs.enable_tracing()
     profile_mod.enable_profiling()
     try:
-        yield obs.get_tracer()
+        study = DecentralizationStudy(**short_chains, workers=2)
+        with obs.span("test.study"):
+            halves = study.chain_results()
+        tracer = obs.get_tracer()
+        spans = list(tracer.spans)
+        path = tmp_path_factory.mktemp("trace") / "study.jsonl"
+        write_trace(tracer, path)
     finally:
         profile_mod.disable_profiling()
         obs.disable_tracing()
         obs.get_tracer().reset()
+    return spans, halves, path
 
 
 def _ancestry(span, by_id):
@@ -69,84 +53,69 @@ def _ancestry(span, by_id):
 
 
 class TestDistributedSweepTrace:
-    def test_worker_spans_merge_under_sweep_with_pids(
-        self, engine, traced_profiled
-    ):
-        windows = _windows(engine.credits.n_blocks)
-        engine.measure_many(METRICS, windows, workers=2)
-        spans = traced_profiled.spans
+    def test_worker_spans_merge_under_sweep_with_pids(self, traced):
+        spans, _, _ = traced
         by_id = {s.span_id: s for s in spans}
+        fan_out = next(s for s in spans if s.name == "study.chains")
+        assert fan_out.attrs["mode"] == "fan-out"
+        assert fan_out.attrs["workers"] == 2
+        # Spans recorded by the coordinator itself have no pid override.
+        assert fan_out.pid is None
         worker_spans = [s for s in spans if s.name == "worker.shard"]
-        assert len(worker_spans) >= 2, "sweep must have sharded"
+        assert len(worker_spans) == 2, "one task per chain"
+        assert len({s.pid for s in worker_spans}) == 2
         for span in worker_spans:
             # Every worker span carries its (non-coordinator) worker pid...
             assert span.pid is not None
             assert span.pid != os.getpid()
-            # ...and parents, transitively, under the coordinator's
-            # sweep span via the per-shard gather span.
-            chain = _ancestry(span, by_id)
-            assert chain[0] == "parallel.shard"
-            assert "engine.measure_many" in chain
+            # ...and parents under the fan-out span via the gather span.
+            assert _ancestry(span, by_id)[:2] == ["parallel.shard", "study.chains"]
             # Profiling context propagated: the worker sampled resources.
             assert "cpu" in span.attrs
             assert span.attrs["rss_kb"] > 0
-        # Spans recorded by the coordinator itself have no pid override.
-        sweep = next(s for s in spans if s.name == "engine.measure_many")
-        assert sweep.pid is None
+        # Both chains' work was adopted: each worker's attribution span
+        # names its chain.
+        attributed = {
+            s.attrs["chain"]: s.pid for s in spans if s.name == "attribution.attribute"
+        }
+        assert set(attributed) == {"bitcoin", "ethereum"}
+        assert set(attributed.values()) == {s.pid for s in worker_spans}
 
-    def test_written_trace_validates_and_keeps_linkage(
-        self, engine, traced_profiled, tmp_path
-    ):
-        windows = _windows(engine.credits.n_blocks)
-        engine.measure_many(METRICS, windows, workers=2)
-        path = tmp_path / "sweep.jsonl"
-        write_trace(traced_profiled, path)
+    def test_written_trace_validates_and_keeps_linkage(self, traced):
+        spans_in_memory, _, path = traced
         report = validate_trace_file(path)
-        assert report["n_spans"] >= len(traced_profiled.spans)
+        assert report["n_spans"] >= len(spans_in_memory)
         spans, _ = load_trace_file(path)
         by_id = {s.span_id: s for s in spans}
         worker_spans = [s for s in spans if s.name == "worker.shard"]
-        assert worker_spans, "worker spans must survive the round trip"
+        assert len(worker_spans) == 2, "worker spans must survive the round trip"
         pids = {s.pid for s in worker_spans}
         assert None not in pids and os.getpid() not in pids
         for span in worker_spans:
-            assert "engine.measure_many" in _ancestry(span, by_id)
+            assert "study.chains" in _ancestry(span, by_id)
 
-    def test_worker_timing_rebased_inside_sweep(self, engine, traced_profiled):
+    def test_worker_timing_rebased_inside_sweep(self, traced):
         # Workers run concurrently with the coordinator's gather loop, so
         # a worker span may START before its per-shard gather span opens —
-        # but epoch rebasing must land every worker span inside the sweep
-        # span's window (generous slack for clock granularity).
-        windows = _windows(engine.credits.n_blocks)
-        engine.measure_many(METRICS, windows, workers=2)
-        spans = traced_profiled.spans
-        sweep = next(s for s in spans if s.name == "engine.measure_many")
+        # but epoch rebasing must land every worker span inside the
+        # fan-out span's window (generous slack for clock granularity).
+        spans, _, _ = traced
+        fan_out = next(s for s in spans if s.name == "study.chains")
         for span in spans:
             if span.name != "worker.shard":
                 continue
-            assert span.start >= sweep.start - 1e-3
-            assert span.end <= sweep.end + 1e-3
+            assert span.start >= fan_out.start - 1e-3
+            assert span.end <= fan_out.end + 1e-3
 
 
 class TestObservabilityNeverChangesResults:
-    def test_traced_profiled_parallel_sweep_is_byte_identical(self, engine):
-        windows = _windows(engine.credits.n_blocks)
-        plain = engine.measure_many(METRICS, windows, workers=2)
-        serial = engine.measure_many(METRICS, windows, workers=1)
-        obs.enable_tracing()
-        profile_mod.enable_profiling()
-        try:
-            traced = engine.measure_many(METRICS, windows, workers=2)
-        finally:
-            profile_mod.disable_profiling()
-            obs.disable_tracing()
-            obs.get_tracer().reset()
-        for name in METRICS:
+    def test_traced_profiled_parallel_sweep_is_byte_identical(self, short_chains, traced):
+        _, traced_halves, _ = traced
+        plain = DecentralizationStudy(**short_chains, workers=2).chain_results()
+        serial = DecentralizationStudy(**short_chains, workers=1).chain_results()
+        for which in ("btc", "eth"):
             for other in (plain, serial):
-                assert traced[name].values.tobytes() == other[name].values.tobytes()
-                assert traced[name].indices.tobytes() == other[name].indices.tobytes()
-                assert traced[name].labels == other[name].labels
-                assert traced[name].skipped == other[name].skipped
+                assert_chain_studies_identical(traced_halves[which], other[which])
 
 
 class TestContextAndAdoption:

@@ -1,5 +1,6 @@
 """Unit tests for the worker-pool plumbing (``repro.parallel.pool``)."""
 
+import multiprocessing
 import os
 
 import pytest
@@ -27,16 +28,39 @@ def _payload_plus(offset):
     return worker_payload() + offset
 
 
+def _payload():
+    return worker_payload()
+
+
+def _call_payload():
+    return worker_payload()()
+
+
+def _affinity():
+    return sorted(os.sched_getaffinity(0))
+
+
 def _boom(lo, hi):
     raise ValueError(f"shard [{lo}, {hi}) exploded")
 
 
 class TestResolveWorkers:
     def test_auto_and_none_track_cpu_count(self):
-        expected = max(1, os.cpu_count() or 1)
+        # The CPUs this process may run on, not the host's total.
+        expected = len(os.sched_getaffinity(0))
         assert resolve_workers(AUTO) == expected
         assert resolve_workers("auto") == expected
         assert resolve_workers(None) == expected
+
+    def test_auto_respects_cpu_affinity(self, monkeypatch):
+        # Pinned to one CPU (`taskset -c 0`) on a multi-core host: auto
+        # must not oversubscribe it with a pool.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert resolve_workers(AUTO) == 1
+        assert resolve_workers(None) == 1
+        status = pool_status()
+        assert status["usable_cpus"] == 1
+        assert status["auto_workers"] == 1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16])
     def test_explicit_int_is_literal(self, n):
@@ -98,6 +122,43 @@ class TestWorkerPool:
         with WorkerPool(2, payload=40) as pool:
             results = pool.map_shards(_payload_plus, [(1,), (2,)])
         assert results == [41, 42]
+
+    def test_each_pool_sees_its_own_payload(self):
+        # Workers fork at a pool's first submit, so a later pool's payload
+        # must not leak into an earlier pool's workers.
+        first = WorkerPool(2, payload="A")
+        second = WorkerPool(2, payload="B")
+        try:
+            assert first.map_shards(_payload, [(), ()]) == ["A", "A"]
+            assert second.map_shards(_payload, [(), ()]) == ["B", "B"]
+        finally:
+            first.close()
+            second.close()
+
+    def test_payload_survives_a_payloadless_pool_built_before_first_submit(self):
+        pool = WorkerPool(2, payload="E")
+        bare = WorkerPool(2)
+        bare.close()
+        try:
+            assert pool.map_shards(_payload, [(), ()]) == ["E", "E"]
+        finally:
+            pool.close()
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="only fork hands the payload over without pickling",
+    )
+    def test_fork_payload_is_never_pickled(self):
+        with WorkerPool(2, payload=lambda: 7) as pool:
+            assert pool.map_shards(_call_payload, [(), ()]) == [7, 7]
+
+    def test_shards_are_dealt_over_the_usable_cpus(self):
+        # Shard i runs pinned to the coordinator's i-th CPU, cycling, so a
+        # kernel that leaves forked workers on one CPU cannot serialize them.
+        cpus = sorted(os.sched_getaffinity(0))
+        with WorkerPool(2) as pool:
+            seen = pool.map_shards(_affinity, [() for _ in range(4)])
+        assert seen == [[cpus[i % len(cpus)]] for i in range(4)]
 
     def test_worker_exception_wrapped_in_parallel_error(self):
         with WorkerPool(2) as pool:

@@ -1,129 +1,28 @@
-"""Byte-identity of the sharded execution layer against the serial path.
+"""Byte-identity of the study fan-out against the serial study.
 
 The whole point of ``repro.parallel`` is that ``workers=N`` is purely a
-wall-clock knob: every merged result must be **bitwise** equal to the
-serial computation, for every attribution policy, metric and window
-family.  These tests prove that on a real (truncated) Bitcoin dataset —
-``.tobytes()`` comparisons, not ``allclose``.
+wall-clock knob: the two chains' halves of the study computed on a pool
+must be **bitwise** equal to the halves computed in-process, for every
+attribution policy the study accepts.  These tests prove that on real
+(truncated) datasets — ``.tobytes()`` comparisons, not ``allclose``.
 """
 
-import numpy as np
 import pytest
 
-from repro.chain.attribution import attribute
-from repro.chain.pools import bitcoin_pools_2019
-from repro.core.engine import MeasurementEngine
-from repro.resilience import chain_from_raw_blocks, raw_blocks
+from repro.analysis.study import DecentralizationStudy
 
-POLICIES = ("per-address", "first-address", "fractional", "pool")
-METRICS = ("gini", "entropy", "nakamoto")
+from tests.conftest import assert_chain_studies_identical
 
-#: 30 simulated days — enough blocks for day windows, multi-shard sweeps
-#: and every policy's multi-coinbase edge cases, small enough to stay fast.
-N_BLOCKS = 4_320
+#: The policies a study runs without a pool registry.
+POLICIES = ("per-address", "first-address", "fractional")
 
 
-@pytest.fixture(scope="module")
-def chain(btc_chain):
-    return chain_from_raw_blocks(btc_chain.spec, raw_blocks(btc_chain, 0, N_BLOCKS))
-
-
-@pytest.fixture(scope="module")
-def registry():
-    return bitcoin_pools_2019()
-
-
-def assert_credits_identical(serial, parallel):
-    assert parallel.chain_name == serial.chain_name
-    assert parallel.policy == serial.policy
-    assert list(parallel.entity_names) == list(serial.entity_names)
-    for attr in (
-        "entity_ids", "weights", "block_positions", "timestamps", "block_offsets"
-    ):
-        a, b = getattr(serial, attr), getattr(parallel, attr)
-        assert a.dtype == b.dtype, attr
-        assert a.tobytes() == b.tobytes(), attr
-
-
-def assert_series_identical(serial, parallel):
-    assert set(parallel) == set(serial)
-    for name, a in serial.items():
-        b = parallel[name]
-        assert b.values.tobytes() == a.values.tobytes(), name
-        assert b.indices.tobytes() == a.indices.tobytes(), name
-        assert b.labels == a.labels, name
-        assert b.skipped == a.skipped, name
-
-
-class TestAttributionEquivalence:
-    @pytest.mark.parametrize("workers", [2, 3, 4])
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_sharded_attribution_is_bitwise_serial(
-        self, chain, registry, policy, workers
-    ):
-        serial = attribute(chain, policy, registry)
-        parallel = attribute(chain, policy, registry, workers=workers)
-        assert_credits_identical(serial, parallel)
-
-
-class TestEngineEquivalence:
-    """Separate serial/parallel engines per case so the sliding caches and
-    segment-histogram caches can never mask a divergent parallel result."""
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_calendar_sweep(self, chain, registry, policy, workers):
-        serial = MeasurementEngine.from_chain(chain, policy, registry, workers=1)
-        sharded = MeasurementEngine.from_chain(
-            chain, policy, registry, workers=workers
-        )
-        assert_series_identical(
-            serial.measure_calendar_many(METRICS, "day"),
-            sharded.measure_calendar_many(METRICS, "day"),
-        )
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_sliding_fast_path(self, chain, registry, policy, workers):
-        # size % step == 0: the incremental segment-histogram fast path.
-        serial = MeasurementEngine.from_chain(chain, policy, registry, workers=1)
-        sharded = MeasurementEngine.from_chain(
-            chain, policy, registry, workers=workers
-        )
-        assert_series_identical(
-            serial.measure_sliding_many(METRICS, 144, 72),
-            sharded.measure_sliding_many(METRICS, 144, 72),
-        )
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_sliding_fallback_path(self, chain, registry, workers):
-        # size % step != 0 forces the generic batched sweep (per-window
-        # distributions sharded instead of segment histograms).
-        serial = MeasurementEngine.from_chain(chain, "per-address", workers=1)
-        sharded = MeasurementEngine.from_chain(
-            chain, "per-address", workers=workers
-        )
-        assert_series_identical(
-            serial.measure_sliding_many(METRICS, 144, 100),
-            sharded.measure_sliding_many(METRICS, 144, 100),
-        )
-
+class TestStudyFanOutEquivalence:
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_segment_histograms(self, chain, workers):
-        serial = attribute(chain, "per-address")
-        sharded = attribute(chain, "per-address")
-        a = serial.segment_histograms(72)
-        b = sharded.segment_histograms(72, workers=workers)
-        assert a is not None and b is not None
-        assert a.dtype == b.dtype
-        assert a.tobytes() == b.tobytes()
-
-    def test_per_call_workers_override(self, chain):
-        # workers=N on the call wins over the engine default and is still
-        # bitwise identical.
-        engine = MeasurementEngine.from_chain(chain, "per-address", workers=1)
-        baseline = engine.measure_calendar_many(METRICS, "week")
-        other = MeasurementEngine.from_chain(chain, "per-address", workers=1)
-        assert_series_identical(
-            baseline, other.measure_calendar_many(METRICS, "week", workers=3)
-        )
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_fan_out_halves_are_bitwise_serial(self, short_chains, policy, workers):
+        serial = DecentralizationStudy(**short_chains, policy=policy, workers=1)
+        parallel = DecentralizationStudy(**short_chains, policy=policy, workers=workers)
+        expected = serial.chain_results()
+        for which, half in parallel.chain_results().items():
+            assert_chain_studies_identical(half, expected[which])
