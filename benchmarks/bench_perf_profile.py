@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro import obs
+from repro.core.engine import MeasurementEngine
 from repro.obs import profile
 
 #: Maximum tolerated disabled-profiling cost, per the ISSUE budget.
@@ -102,11 +103,18 @@ def test_disabled_profiling_overhead_under_budget(btc):
 
 
 def test_enabled_profiling_attaches_resource_attrs(btc):
-    """Sanity: with profiling on, sweep spans carry cpu/rss samples."""
+    """Sanity: with profiling on, sweep spans carry cpu/rss samples.
+
+    Measures on a fresh engine over the ``btc`` fixture's credits: the
+    shared ``btc`` engine may already hold this sweep in its sliding cache
+    (other benchmark modules run it first), and a cache hit fires no sweep
+    span.
+    """
+    engine = MeasurementEngine(btc.credits)
     tracer = obs.enable_tracing()
     profile.enable_profiling()
     try:
-        btc.measure_sliding("entropy", 2_016, 1_008)
+        engine.measure_sliding("entropy", 2_016, 1_008)
         sweep = next(s for s in tracer.spans if s.name == "engine.sliding_sweep")
         assert sweep.attrs["cpu"] >= 0.0
         assert sweep.attrs["rss_kb"] > 0

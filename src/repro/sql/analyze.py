@@ -1,49 +1,47 @@
-"""EXPLAIN ANALYZE support: per-operator execution statistics.
+"""Plan trees: the :class:`PlanNode` type and its text rendering.
 
-The executor's stages (scan, join, filter, aggregate, project, distinct,
-sort, limit) report into an :class:`ExecutionTrace` that builds a tree of
-:class:`PlanNode` rows — wall time plus rows in/out per operator — which
-:func:`format_plan` renders as the ``repro query --explain-analyze``
-output::
+The executor builds one :class:`PlanNode` tree per SELECT right after
+optimization.  ``EXPLAIN`` renders that tree without running it
+(estimates only); ``execute()`` and ``EXPLAIN ANALYZE`` run the same
+tree, filling each node's wall time and rows in/out as it executes, and
+:func:`format_plan` renders the result as the ``repro query
+--explain-analyze`` output::
 
     Query                                  time=3.96ms rows=20
     ├─ Parse                               time=0.23ms
     ├─ Plan                                time=0.02ms
-    └─ Execute                             time=3.70ms rows=20
+    └─ Execute                             time=3.70ms rows=20 est=20
+       ├─ Optimize                         time=0.09ms
        ├─ Scan credits                     time=0.41ms rows=86305
        ├─ Aggregate keys=1 aggregates=1    time=2.22ms in=86305 out=1137
        ...
 
 Operators additionally report the bytes of column data they scanned and
 the rows that *spilled* off the columnar fast path onto per-row Python
-loops (``bytes=``/``spill=`` in the rendering); while the process-wide
-tracer is recording, those totals also accumulate as
+loops (``bytes=``/``spill=`` in the rendering).  While the process-wide
+tracer (:mod:`repro.obs`) records, every executed node is also a
+``sql.<Op>`` span carrying those actuals, and they accumulate as
 ``sql.op.<kind>.rows_out`` / ``.bytes_scanned`` / ``.spill_rows``
 counters in the Prometheus-exported registry.
-
-When no trace is requested the executor's stage hooks short-circuit to a
-shared null operator, and when the process-wide tracer (:mod:`repro.obs`)
-is enabled the same hooks emit ``sql.*`` spans instead, so ``--trace``
-captures per-operator timing too.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-
-from repro import obs
+from typing import Any
 
 
 @dataclass
 class PlanNode:
-    """One operator's measured execution statistics.
+    """One operator of a plan tree, with its estimate and measured actuals.
 
-    ``bytes_scanned`` is the raw size of the column data an operator
-    touched (scan-type operators).  ``spilled_rows`` counts rows that fell
-    off the columnar fast path onto a per-row Python loop — there is no
-    disk spill in this engine, so "spill" measures the analogous cliff:
-    work leaving vectorized numpy kernels.
+    ``rows_est`` is the cost-based planner's estimate; the other counts
+    and ``seconds`` are filled when the node runs.  ``bytes_scanned`` is
+    the raw size of the column data an operator touched (scan-type
+    operators).  ``spilled_rows`` counts rows that fell off the columnar
+    fast path onto a per-row Python loop in this operator's own code —
+    there is no disk spill in this engine, so "spill" measures the
+    analogous cliff: work leaving vectorized numpy kernels.
     """
 
     op: str
@@ -55,179 +53,13 @@ class PlanNode:
     spilled_rows: int | None = None
     seconds: float = 0.0
     children: list = field(default_factory=list)
+    #: What the executor runs for this node (never rendered or compared).
+    _args: Any = field(default=None, repr=False, compare=False)
 
     @property
     def label(self) -> str:
         """Operator name plus its detail, if any."""
         return f"{self.op} {self.detail}".rstrip()
-
-
-class _OpHandle:
-    """Context manager timing one operator inside an :class:`ExecutionTrace`."""
-
-    __slots__ = ("_trace", "node", "_start")
-
-    def __init__(self, trace: "ExecutionTrace", node: PlanNode) -> None:
-        self._trace = trace
-        self.node = node
-
-    # Stage code sets rows through the handle so the null handle can
-    # absorb the writes with plain attributes.
-    @property
-    def rows_in(self) -> int | None:
-        return self.node.rows_in
-
-    @rows_in.setter
-    def rows_in(self, value: int) -> None:
-        self.node.rows_in = value
-
-    @property
-    def rows_out(self) -> int | None:
-        return self.node.rows_out
-
-    @rows_out.setter
-    def rows_out(self, value: int) -> None:
-        self.node.rows_out = value
-
-    @property
-    def rows_est(self) -> int | None:
-        return self.node.rows_est
-
-    @rows_est.setter
-    def rows_est(self, value: int | None) -> None:
-        self.node.rows_est = value
-
-    @property
-    def bytes_scanned(self) -> int | None:
-        return self.node.bytes_scanned
-
-    @bytes_scanned.setter
-    def bytes_scanned(self, value: int | None) -> None:
-        self.node.bytes_scanned = value
-
-    @property
-    def spilled_rows(self) -> int | None:
-        return self.node.spilled_rows
-
-    @spilled_rows.setter
-    def spilled_rows(self, value: int | None) -> None:
-        self.node.spilled_rows = value
-
-    def __enter__(self) -> "_OpHandle":
-        self._trace._stack.append(self.node)
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        self.node.seconds = time.perf_counter() - self._start
-        stack = self._trace._stack
-        if stack and stack[-1] is self.node:
-            stack.pop()
-        _feed_registry(
-            self.node.op, self.node.rows_out, self.node.bytes_scanned,
-            self.node.spilled_rows,
-        )
-        return False
-
-
-class _NullOp:
-    """Absorbs the stage hooks when neither analyze nor tracing is on."""
-
-    __slots__ = ("rows_in", "rows_out", "rows_est", "bytes_scanned", "spilled_rows")
-
-    def __enter__(self) -> "_NullOp":
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        return False
-
-
-_NULL_OP = _NullOp()
-
-
-def _feed_registry(
-    op: str,
-    rows_out: int | None,
-    bytes_scanned: int | None,
-    spilled_rows: int | None,
-) -> None:
-    """Accumulate per-operator totals into the process-wide registry.
-
-    One counter family per operator kind (``sql.op.scan.rows_out``,
-    ``...bytes_scanned``, ``...spill_rows``) — the operator vocabulary is
-    small and fixed, so cardinality stays bounded.  No-op while the
-    tracer is disabled.
-    """
-    if not obs.tracing_enabled():
-        return
-    key = op.lower()
-    if rows_out:
-        obs.counter(f"sql.op.{key}.rows_out", rows_out)
-    if bytes_scanned:
-        obs.counter(f"sql.op.{key}.bytes_scanned", bytes_scanned)
-    if spilled_rows:
-        obs.counter(f"sql.op.{key}.spill_rows", spilled_rows)
-
-
-class _ObsOp:
-    """Adapts a stage hook onto a span of the process-wide tracer."""
-
-    __slots__ = ("_span", "_op", "rows_in", "rows_out", "rows_est",
-                 "bytes_scanned", "spilled_rows")
-
-    def __init__(self, op: str, detail: str) -> None:
-        self._span = obs.span(f"sql.{op}", detail=detail) if detail else obs.span(f"sql.{op}")
-        self._op = op
-        self.rows_in: int | None = None
-        self.rows_out: int | None = None
-        self.rows_est: int | None = None
-        self.bytes_scanned: int | None = None
-        self.spilled_rows: int | None = None
-
-    def __enter__(self) -> "_ObsOp":
-        self._span.__enter__()
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        if self.rows_in is not None:
-            self._span.set(rows_in=self.rows_in)
-        if self.rows_out is not None:
-            self._span.set(rows_out=self.rows_out)
-        if self.rows_est is not None:
-            self._span.set(rows_est=self.rows_est)
-        if self.bytes_scanned is not None:
-            self._span.set(bytes_scanned=self.bytes_scanned)
-        if self.spilled_rows is not None:
-            self._span.set(spilled_rows=self.spilled_rows)
-        _feed_registry(self._op, self.rows_out, self.bytes_scanned, self.spilled_rows)
-        return self._span.__exit__(*exc_info)
-
-
-class ExecutionTrace:
-    """Collects a :class:`PlanNode` tree while a query executes."""
-
-    def __init__(self) -> None:
-        self.root = PlanNode("Query")
-        self._stack: list[PlanNode] = [self.root]
-
-    def op(self, op: str, detail: str = "") -> _OpHandle:
-        """Open a child operator under the currently executing one."""
-        node = PlanNode(op, detail)
-        self._stack[-1].children.append(node)
-        return _OpHandle(self, node)
-
-
-def stage_op(trace: ExecutionTrace | None, op: str, detail: str = ""):
-    """The stage hook the executor calls around each operator.
-
-    Routes to the analyze collector when one is active, to the process-wide
-    tracer when tracing is enabled, and to a shared no-op otherwise.
-    """
-    if trace is not None:
-        return trace.op(op, detail)
-    if obs.tracing_enabled():
-        return _ObsOp(op, detail)
-    return _NULL_OP
 
 
 def _format_bytes(n: int) -> str:

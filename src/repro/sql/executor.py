@@ -1,8 +1,12 @@
 """Query execution over :mod:`repro.table` tables.
 
-The executor takes a validated :class:`~repro.sql.planner.QueryPlan` and
-runs it: FROM (with hash joins) → WHERE → GROUP BY/aggregates → HAVING →
-SELECT projection → DISTINCT → ORDER BY → LIMIT/OFFSET.
+Each SELECT is planned and optimized once, then built into one
+:class:`~repro.sql.analyze.PlanNode` tree: FROM (scans, pushed filters,
+joins, subqueries) → WHERE → GROUP BY/aggregates → HAVING → SELECT
+projection → DISTINCT → ORDER BY → LIMIT/OFFSET.  ``EXPLAIN`` renders
+that tree; ``execute()`` and ``EXPLAIN ANALYZE`` run it, each node through
+one wrapper (:func:`_timed`) that fills its actuals and, while the
+process-wide tracer records, emits its ``sql.<Op>`` span and counters.
 
 NULL handling is deliberately simple (the datasets the study uses have no
 NULLs outside LEFT JOIN results): comparisons treat ``None`` as an ordinary
@@ -13,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import time
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -40,7 +44,7 @@ from repro.sql.astnodes import (
 )
 from repro.parallel import WorkerPool, resolve_workers, shard_ranges
 from repro.parallel import work as _work
-from repro.sql.analyze import ExecutionTrace, PlanNode, format_plan, stage_op
+from repro.sql.analyze import PlanNode, format_plan
 from repro.sql.cost import PlannerOptions
 from repro.sql.functions import AGGREGATE_FUNCTIONS, call_scalar_function, like_match
 from repro.sql.parser import parse
@@ -78,8 +82,8 @@ _PARALLEL_FUNCS = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 
 #: Rows processed by per-row Python fallbacks since process start.  There
 #: is no disk spill in this engine; "spill" counts the analogous cliff —
-#: rows leaving the vectorized numpy kernels.  Stage ops diff this around
-#: their block to attribute spilled rows to an operator.
+#: rows leaving the vectorized numpy kernels.  :func:`_timed` diffs this
+#: around each plan node to attribute spilled rows to an operator.
 _SPILL_ROWS = 0
 
 
@@ -273,47 +277,41 @@ class QueryEngine:
             if isinstance(statement, Analyze):
                 return self.analyze(statement.table)
             if isinstance(statement, Union):
-                return self._execute_union(statement)
-            return self.execute_plan(plan(statement))
+                return self._execute_union(statement, PlanNode("UnionAll"))
+            return self._run_select(plan(statement), PlanNode("Execute"))
 
     def explain_analyze(self, sql: str) -> tuple[Table, PlanNode]:
-        """Execute ``sql`` with per-operator instrumentation.
+        """Execute ``sql`` and return the plan tree it ran, with actuals.
 
         Returns the result table plus the root :class:`PlanNode` of the
         measured plan tree (wall time and rows in/out per operator),
         rendered by :func:`repro.sql.analyze.format_plan`.
         """
-        trace = ExecutionTrace()
+        root = PlanNode("Query")
         start = time.perf_counter()
-        with trace.op("Parse"):
-            statement = parse(sql)
+        statement = _timed(_child(root, "Parse"), parse, sql)
         if isinstance(statement, Analyze):
-            with trace.op("Analyze", statement.table or "all tables") as op:
-                result = self.analyze(statement.table)
-                op.rows_out = result.num_rows
+            node = _child(root, "Analyze", statement.table or "all tables")
+            result = _timed(node, self.analyze, statement.table)
         elif isinstance(statement, Union):
-            with trace.op("UnionAll", f"{len(statement.selects)} members") as op:
-                result = self._execute_union(statement, trace=trace)
-                op.rows_out = result.num_rows
+            node = _child(root, "UnionAll", f"{len(statement.selects)} members")
+            result = _timed(node, self._execute_union, statement, node)
         else:
-            with trace.op("Plan"):
-                query_plan = plan(statement)
-            with trace.op("Execute") as op:
-                result = self.execute_plan(query_plan, trace=trace)
-                op.rows_out = result.num_rows
-        trace.root.seconds = time.perf_counter() - start
-        trace.root.rows_out = result.num_rows
-        return result, trace.root
+            query_plan = _timed(_child(root, "Plan"), plan, statement)
+            node = _child(root, "Execute")
+            result = _timed(node, self._run_select, query_plan, node)
+        root.seconds = time.perf_counter() - start
+        root.rows_out = result.num_rows
+        return result, root
 
-    def _execute_union(self, union: Union, trace: ExecutionTrace | None = None) -> Table:
+    def _execute_union(self, union: Union, root: PlanNode) -> Table:
+        """Run each UNION ALL member as a ``Member`` node under ``root``."""
         from repro.table import concat
 
         parts = []
         for i, select in enumerate(union.selects):
-            with stage_op(trace, "Member", str(i + 1)) as op:
-                part = self.execute_plan(plan(select), trace=trace)
-                op.rows_out = part.num_rows
-            parts.append(part)
+            member = _child(root, "Member", str(i + 1))
+            parts.append(_timed(member, self._run_select, plan(select), member))
         schema = parts[0].schema
         for part in parts[1:]:
             if part.schema != schema:
@@ -323,12 +321,30 @@ class QueryEngine:
                 )
         return concat(parts)
 
+    def _run_select(self, query_plan: QueryPlan, root: PlanNode) -> Table:
+        """Optimize one SELECT, hang its plan tree under ``root`` and run it.
+
+        ``root`` is the statement's ``Execute`` node, which carries the
+        final estimate as EXPLAIN shows it, or a UNION ``Member``.
+        Optimization runs first, timed as a runtime-only ``Optimize``
+        child.  Physical planning never changes results — only access
+        paths, join strategies and the ``est=`` numbers on the tree.
+        """
+        physical = None
+        if self.optimizer_enabled:
+            physical = _timed(_child(root, "Optimize"), self._optimize, query_plan)
+        if physical is not None and root.op == "Execute":
+            root.rows_est = physical.estimates.get("final")
+        stages = _stages(query_plan, physical)
+        root.children.extend(stages)
+        return _run_stages(stages, _Context(self))
+
     def explain(self, sql: str) -> str:
         """Return a human-readable summary of the query plan.
 
         With the optimizer enabled the logical summary is followed by the
-        physical plan tree (access paths, join strategies and estimated
-        rows per operator) rendered without timings.
+        plan tree execution would run (access paths, join strategies and
+        estimated rows per operator), rendered without timings.
         """
         statement = parse(sql)
         if isinstance(statement, Analyze):
@@ -366,254 +382,15 @@ class QueryEngine:
             lines.append(f"LIMIT {select.limit} OFFSET {select.offset or 0}")
         physical = self._optimize(query_plan)
         if physical is not None:
+            tree = PlanNode(
+                "Execute",
+                rows_est=physical.estimates.get("final"),
+                children=_stages(query_plan, physical),
+            )
             lines.append("")
             lines.append("-- physical plan (estimated rows) --")
-            lines.append(
-                format_plan(self._physical_tree(query_plan, physical), include_time=False)
-            )
+            lines.append(format_plan(tree, include_time=False))
         return "\n".join(lines)
-
-    def _physical_tree(self, query_plan: QueryPlan, physical: PhysicalPlan) -> PlanNode:
-        """A :class:`PlanNode` tree mirroring execution, estimates only."""
-        select = query_plan.select
-        est = physical.estimates
-        root = PlanNode("Execute", rows_est=est.get("final"))
-
-        def source_nodes(
-            source: TableRef | SubquerySource | Join,
-        ) -> list[PlanNode]:
-            if isinstance(source, TableRef):
-                sp = physical.scans.get(source.binding)
-                if sp is None or sp.is_trivial:
-                    rows = sp.base_rows if sp is not None else None
-                    return [PlanNode("Scan", source.name, rows_est=rows)]
-                access_rows = sp.access_est_rows if sp.access != "seq" else sp.base_rows
-                nodes = [PlanNode("Scan", sp.describe(), rows_est=access_rows)]
-                if sp.pushed:
-                    nodes.append(PlanNode("Filter", "pushed", rows_est=sp.est_rows))
-                return nodes
-            if isinstance(source, SubquerySource):
-                rows = physical.subquery_rows.get(source.binding)
-                return [PlanNode("Subquery", source.binding, rows_est=rows)]
-            jp = physical.joins.get(source)
-            detail = source.kind.upper()
-            if jp is not None:
-                detail = f"{detail} {jp.describe()}"
-            node = PlanNode("Join", detail, rows_est=jp.est_rows if jp else None)
-            node.children.extend(source_nodes(source.left))
-            node.children.extend(source_nodes(source.right))
-            return [node]
-
-        root.children.extend(source_nodes(select.source))
-        if physical.residual_where is not None:
-            root.children.append(PlanNode("Filter", rows_est=est.get("filter")))
-        if query_plan.is_aggregation:
-            detail = (
-                f"keys={len(select.group_by)} aggregates={len(query_plan.aggregates)}"
-            )
-            root.children.append(PlanNode("Aggregate", detail, rows_est=est.get("aggregate")))
-        else:
-            root.children.append(
-                PlanNode("Project", _project_detail(query_plan), rows_est=est.get("project"))
-            )
-        if select.distinct:
-            root.children.append(PlanNode("Distinct", rows_est=est.get("distinct")))
-        if select.order_by:
-            root.children.append(
-                PlanNode("Sort", f"keys={len(select.order_by)}", rows_est=est.get("sort"))
-            )
-        if select.limit is not None or select.offset is not None:
-            root.children.append(PlanNode("Limit", rows_est=est.get("limit")))
-        return root
-
-    def execute_plan(
-        self,
-        query_plan: QueryPlan,
-        trace: ExecutionTrace | None = None,
-        physical: PhysicalPlan | None = None,
-    ) -> Table:
-        """Run a validated plan against the catalog.
-
-        ``trace`` (an :class:`~repro.sql.analyze.ExecutionTrace`) collects
-        per-operator wall time and row counts for EXPLAIN ANALYZE; when
-        omitted the stage hooks are no-ops (or ``sql.*`` spans if the
-        process-wide tracer is enabled).  ``physical`` carries the
-        cost-based optimizer's decisions; when omitted one is computed
-        (unless the engine was built with ``optimizer=False``).  Physical
-        planning never changes results — only access paths, join
-        strategies and the ``est=`` numbers on the plan tree.
-        """
-        select = query_plan.select
-        if physical is None and self.optimizer_enabled:
-            with stage_op(trace, "Optimize"):
-                physical = self._optimize(query_plan)
-        est = physical.estimates if physical is not None else {}
-        scope = self._build_scope(select.source, trace, physical)
-        table = scope.table
-        where_expr = physical.residual_where if physical is not None else select.where
-        if where_expr is not None:
-            with stage_op(trace, "Filter") as op:
-                op.rows_in = table.num_rows
-                op.rows_est = est.get("filter")
-                spill_base = _SPILL_ROWS
-                mask = _as_bool_mask(
-                    _evaluate(where_expr, table, scope), table.num_rows
-                )
-                table = table.filter(mask)
-                op.rows_out = table.num_rows
-                op.spilled_rows = (_SPILL_ROWS - spill_base) or None
-        if query_plan.is_aggregation:
-            detail = (
-                f"keys={len(select.group_by)} aggregates={len(query_plan.aggregates)}"
-            )
-            with stage_op(trace, "Aggregate", detail) as op:
-                op.rows_in = table.num_rows
-                op.rows_est = est.get("aggregate")
-                spill_base = _SPILL_ROWS
-                result = self._run_aggregation(query_plan, table, scope, trace)
-                op.rows_out = result.num_rows
-                op.spilled_rows = (_SPILL_ROWS - spill_base) or None
-        else:
-            with stage_op(trace, "Project", _project_detail(query_plan)) as op:
-                op.rows_est = est.get("project")
-                result = self._run_projection(query_plan, table, scope)
-                op.rows_out = result.num_rows
-        if select.distinct and result.num_rows:
-            with stage_op(trace, "Distinct") as op:
-                op.rows_in = result.num_rows
-                op.rows_est = est.get("distinct")
-                result = result.distinct()
-                op.rows_out = result.num_rows
-        if select.order_by:
-            with stage_op(trace, "Sort", f"keys={len(select.order_by)}") as op:
-                op.rows_est = est.get("sort")
-                result = self._apply_order(query_plan, result, table, scope)
-                op.rows_out = result.num_rows
-        if select.offset is not None or select.limit is not None:
-            detail = f"{select.limit if select.limit is not None else 'ALL'}"
-            if select.offset:
-                detail += f" offset={select.offset}"
-            with stage_op(trace, "Limit", detail) as op:
-                op.rows_in = result.num_rows
-                op.rows_est = est.get("limit")
-                start = select.offset or 0
-                stop = None if select.limit is None else start + select.limit
-                result = result.slice(start, stop)
-                op.rows_out = result.num_rows
-        return result
-
-    # -- FROM ------------------------------------------------------------------
-
-    def _build_scope(
-        self,
-        source: TableRef | SubquerySource | Join,
-        trace: ExecutionTrace | None = None,
-        physical: PhysicalPlan | None = None,
-    ) -> "_Scope":
-        if isinstance(source, TableRef):
-            return self._scan_table(source, trace, physical)
-        if isinstance(source, SubquerySource):
-            with stage_op(trace, "Subquery", source.binding) as op:
-                if physical is not None:
-                    op.rows_est = physical.subquery_rows.get(source.binding)
-                derived = self.execute_plan(plan(source.select), trace)
-                op.rows_out = derived.num_rows
-            return _Scope.single(source.binding, derived)
-        join_plan = physical.joins.get(source) if physical is not None else None
-        detail = source.kind.upper()
-        if join_plan is not None:
-            detail = f"{detail} {join_plan.describe()}"
-        with stage_op(trace, "Join", detail) as op:
-            if join_plan is not None:
-                op.rows_est = join_plan.est_rows
-            left_scope = self._build_scope(source.left, trace, physical)
-            right = self._build_scope(source.right, trace, physical)
-            left_qualified = left_scope.qualified()
-            right_qualified = right.qualified()
-            left_key = left_qualified.resolve(source.on_left)
-            right_key = right_qualified.resolve(source.on_right)
-            strategy = join_plan.strategy if join_plan is not None else "hash"
-            if strategy == "sort_merge":
-                joined = _sort_merge_join(
-                    left_qualified.table,
-                    left_key,
-                    right_qualified.table,
-                    right_key,
-                    source.kind,
-                )
-            elif strategy == "index" and join_plan is not None:
-                index = self._indexes[join_plan.index_table][join_plan.index_column]
-                joined = _index_join(
-                    left_qualified.table,
-                    left_key,
-                    right_qualified.table,
-                    index,
-                    source.kind,
-                )
-            else:
-                joined = _hash_join(
-                    left_qualified.table,
-                    left_key,
-                    right_qualified.table,
-                    right_key,
-                    source.kind,
-                )
-            op.rows_out = joined.num_rows
-        return _Scope.joined(joined)
-
-    def _scan_table(
-        self,
-        source: TableRef,
-        trace: ExecutionTrace | None,
-        physical: PhysicalPlan | None,
-    ) -> "_Scope":
-        scan = physical.scans.get(source.binding) if physical is not None else None
-        if scan is None or scan.is_trivial:
-            with stage_op(trace, "Scan", source.name) as op:
-                table = self._lookup(source.name)
-                op.rows_out = table.num_rows
-                op.bytes_scanned = _table_bytes(table)
-                if scan is not None:
-                    op.rows_est = scan.base_rows
-            return _Scope.single(source.binding, table)
-        table = self._lookup(source.name)
-        with stage_op(trace, "Scan", scan.describe()) as op:
-            if scan.access == "index-eq":
-                index = self._indexes[source.name][scan.index_column]
-                table = table.take(index.lookup_eq(scan.index_value))
-                op.rows_est = scan.access_est_rows
-            elif scan.access == "index-range":
-                index = self._indexes[source.name][scan.index_column]
-                table = table.take(
-                    index.lookup_range(
-                        scan.index_low,
-                        scan.index_high,
-                        scan.index_include_low,
-                        scan.index_include_high,
-                    )
-                )
-                op.rows_est = scan.access_est_rows
-            else:
-                op.rows_est = scan.base_rows
-            if scan.columns is not None:
-                table = table.select(list(scan.columns))
-            op.rows_out = table.num_rows
-            op.bytes_scanned = _table_bytes(table)
-        scope = _Scope.single(source.binding, table)
-        if scan.pushed:
-            with stage_op(trace, "Filter", "pushed") as op:
-                op.rows_in = table.num_rows
-                op.rows_est = scan.est_rows
-                spill_base = _SPILL_ROWS
-                predicate = and_combine(list(scan.pushed))
-                mask = _as_bool_mask(
-                    _evaluate(predicate, table, scope), table.num_rows
-                )
-                table = table.filter(mask)
-                op.rows_out = table.num_rows
-                op.spilled_rows = (_SPILL_ROWS - spill_base) or None
-            scope = _Scope.single(source.binding, table)
-        return scope
 
     def _lookup(self, name: str) -> Table:
         try:
@@ -622,206 +399,472 @@ class QueryEngine:
             known = ", ".join(sorted(self._catalog)) or "<none>"
             raise SqlPlanError(f"unknown table {name!r}; registered tables: {known}") from None
 
-    # -- plain projection --------------------------------------------------------
 
-    def _run_projection(self, query_plan: QueryPlan, table: Table, scope: "_Scope") -> Table:
-        select = query_plan.select
-        if isinstance(select.items, Star):
-            return scope.star_projection(table)
-        data: dict[str, Column] = {}
-        for name, item in zip(query_plan.output_names, select.items):
-            value = _evaluate(item.expr, table, scope)
-            data[name] = _to_column(value, table.num_rows)
-        return Table(data)
+# -- the plan tree ---------------------------------------------------------------
 
-    # -- aggregation --------------------------------------------------------------
 
-    def _run_aggregation(
-        self,
-        query_plan: QueryPlan,
-        table: Table,
-        scope: "_Scope",
-        trace: ExecutionTrace | None = None,
-    ) -> Table:
-        select = query_plan.select
-        n_rows = table.num_rows
-        group_exprs = _resolve_group_keys(query_plan, scope)
-        key_arrays = [
-            _broadcast(_evaluate(expr, table, scope), n_rows)
-            for expr in group_exprs
-        ]
-        env: dict[Expr, np.ndarray] | None = None
-        if group_exprs and self._parallel_eligible(query_plan, n_rows):
-            env, n_groups = self._parallel_aggregation(
-                query_plan, table, scope, group_exprs, key_arrays, trace
-            )
-        if env is None:
-            if group_exprs:
-                group_ids, n_groups = _factorize(key_arrays)
-            else:
-                group_ids = np.zeros(n_rows, dtype=np.int64)
-                n_groups = 1
-            env = {}
-            for expr, keys in zip(group_exprs, key_arrays):
-                env[expr] = _first_per_group(keys, group_ids, n_groups)
-            for aggregate in query_plan.aggregates:
-                env[aggregate] = _evaluate_aggregate(
-                    aggregate, table, scope, group_ids, n_groups
-                )
-        alias_map = _alias_map(query_plan)
-        if select.having is not None:
-            having_expr = _resolve_aliases(select.having, alias_map)
-            mask_values = _evaluate_grouped(having_expr, env, n_groups)
-            mask = _as_bool_mask(mask_values, n_groups)
-            keep = np.flatnonzero(mask)
+def _stages(query_plan: QueryPlan, physical: PhysicalPlan | None) -> list[PlanNode]:
+    """One SELECT's plan nodes in run order (the pipeline under ``Execute``).
+
+    FROM, then the residual WHERE, Aggregate or Project, Distinct, Sort
+    and Limit.  Without a physical plan (optimizer off, or it gave up)
+    scans are trivial, joins hash, the whole WHERE is the residual
+    ``Filter`` and no node carries an estimate.
+    """
+    select = query_plan.select
+    est = physical.estimates if physical is not None else {}
+    nodes = _source_nodes(select.source, query_plan, physical)
+    where = physical.residual_where if physical is not None else select.where
+    if where is not None:
+        nodes.append(PlanNode("Filter", rows_est=est.get("filter"), _args=where))
+    if query_plan.is_aggregation:
+        detail = f"keys={len(select.group_by)} aggregates={len(query_plan.aggregates)}"
+        nodes.append(
+            PlanNode("Aggregate", detail, rows_est=est.get("aggregate"), _args=query_plan)
+        )
+    else:
+        detail = _project_detail(query_plan)
+        nodes.append(PlanNode("Project", detail, rows_est=est.get("project"), _args=query_plan))
+    if select.distinct:
+        nodes.append(PlanNode("Distinct", rows_est=est.get("distinct")))
+    if select.order_by:
+        detail = f"keys={len(select.order_by)}"
+        nodes.append(PlanNode("Sort", detail, rows_est=est.get("sort"), _args=query_plan))
+    if select.offset is not None or select.limit is not None:
+        detail = f"{select.limit if select.limit is not None else 'ALL'}"
+        if select.offset:
+            detail += f" offset={select.offset}"
+        start = select.offset or 0
+        stop = None if select.limit is None else start + select.limit
+        nodes.append(PlanNode("Limit", detail, rows_est=est.get("limit"), _args=(start, stop)))
+    return nodes
+
+
+def _source_nodes(
+    source: TableRef | SubquerySource | Join,
+    query_plan: QueryPlan,
+    physical: PhysicalPlan | None,
+) -> list[PlanNode]:
+    """The FROM clause's nodes: a scan (plus its pushed filter), a
+    subquery with its own stages nested, or a join over both inputs."""
+    if isinstance(source, TableRef):
+        scan = physical.scans[source.binding] if physical is not None else None
+        if scan is None:
+            return [PlanNode("Scan", source.name, _args=(source, None))]
+        label = source.name if scan.is_trivial else scan.describe()
+        nodes = [PlanNode("Scan", label, rows_est=scan.access_est_rows, _args=(source, scan))]
+        if scan.pushed:
+            predicate = and_combine(list(scan.pushed))
+            nodes.append(PlanNode("Filter", "pushed", rows_est=scan.est_rows, _args=predicate))
+        return nodes
+    if isinstance(source, SubquerySource):
+        binding = source.binding
+        inner = physical.subqueries.get(binding) if physical is not None else None
+        node = PlanNode(
+            "Subquery",
+            binding,
+            rows_est=physical.subquery_rows.get(binding) if physical is not None else None,
+        )
+        node.children = _stages(query_plan.subplans[binding], inner)
+        return [node]
+    join_plan = physical.joins.get(source) if physical is not None else None
+    detail = source.kind.upper()
+    if join_plan is not None:
+        detail = f"{detail} {join_plan.describe()}"
+    left = _source_nodes(source.left, query_plan, physical)
+    right = _source_nodes(source.right, query_plan, physical)
+    # The join needs to know where its left input's nodes end.
+    return [
+        PlanNode(
+            "Join",
+            detail,
+            rows_est=join_plan.est_rows if join_plan is not None else None,
+            children=left + right,
+            _args=(source, join_plan, len(left)),
+        )
+    ]
+
+
+def _child(parent: PlanNode, op: str, detail: str = "") -> PlanNode:
+    """Append a new node under ``parent`` and return it."""
+    node = PlanNode(op, detail)
+    parent.children.append(node)
+    return node
+
+
+#: Node fields a ``sql.<Op>`` span carries, and the ``sql.op.<kind>.*``
+#: counter each actual feeds.
+_SPAN_ATTRS = ("rows_in", "rows_out", "rows_est", "bytes_scanned", "spilled_rows")
+_COUNTERS = {"rows_out": "rows_out", "bytes_scanned": "bytes_scanned", "spilled_rows": "spill_rows"}
+
+
+def _timed(node: PlanNode, fn: Callable[..., Any], *args: Any) -> Any:
+    """Run ``fn(*args)`` as plan node ``node`` — the one per-node wrapper.
+
+    Times the call; a returned table sets ``rows_out``; rows spilled in
+    the node's own code (its children keep theirs) set ``spilled_rows``.
+    While the process-wide tracer records, the call is a ``sql.<Op>`` span
+    carrying those actuals, which also feed the ``sql.op.<kind>.*``
+    counters — one counter family per operator kind, a small fixed
+    vocabulary, so cardinality stays bounded.
+    """
+    if not obs.tracing_enabled():
+        return _measure(node, fn, args)
+    attrs = {"detail": node.detail} if node.detail else {}
+    with obs.span(f"sql.{node.op}", **attrs) as span:
+        out = _measure(node, fn, args)
+        actuals = {name: getattr(node, name) for name in _SPAN_ATTRS}
+        span.set(**{name: value for name, value in actuals.items() if value is not None})
+    key = node.op.lower()
+    for name, suffix in _COUNTERS.items():
+        if actuals[name]:
+            obs.counter(f"sql.op.{key}.{suffix}", actuals[name])
+    return out
+
+
+def _measure(node: PlanNode, fn: Callable[..., Any], args: tuple) -> Any:
+    """Call ``fn(*args)`` and fill ``node``'s time, rows out and own spill."""
+    spill_base = _SPILL_ROWS
+    start = time.perf_counter()
+    out = fn(*args)
+    node.seconds = time.perf_counter() - start
+    if isinstance(out, Table):
+        node.rows_out = out.num_rows
+    spilled = _SPILL_ROWS - spill_base
+    if spilled:  # charge the node only what its children did not spill
+        spilled -= sum(child.spilled_rows or 0 for child in node.children)
+    node.spilled_rows = spilled or None
+    return out
+
+
+class _Context:
+    """One SELECT's execution state, threaded through its plan nodes.
+
+    ``table`` and ``scope`` are the FROM rows so far and their column
+    resolution; ``result`` is the last node's output (the SELECT's result
+    once Aggregate or Project ran); ``groups`` is the aggregation's
+    ``(env, keep, n_groups)``, which an ORDER BY over aggregates reads.
+    """
+
+    __slots__ = ("engine", "table", "scope", "result", "groups")
+
+    def __init__(self, engine: QueryEngine) -> None:
+        self.engine = engine
+        self.table: Table = None
+        self.scope: _Scope = None
+        self.result: Table = None
+        self.groups: tuple[dict[Expr, np.ndarray], np.ndarray, int] = None
+
+    def rows(self, scope: _Scope) -> Table:
+        """Make ``scope`` the current FROM rows; returns its table."""
+        self.scope = scope
+        self.table = scope.table
+        return scope.table
+
+
+def _run_stages(nodes: list[PlanNode], ctx: _Context) -> Table:
+    """Run sibling nodes in order through :func:`_timed`; returns the last output."""
+    for node in nodes:
+        ctx.result = _timed(node, _RUNNERS[node.op], node, ctx)
+    return ctx.result
+
+
+# -- operators: FROM and WHERE -------------------------------------------------------
+
+
+def _run_scan(node: PlanNode, ctx: _Context) -> Table:
+    ref, scan = node._args
+    table = ctx.engine._lookup(ref.name)
+    if scan is not None and scan.access != "seq":
+        index = ctx.engine._indexes[ref.name][scan.index_column]
+        if scan.access == "index-eq":
+            positions = index.lookup_eq(scan.index_value)
         else:
-            keep = np.arange(n_groups)
-        data: dict[str, Column] = {}
-        for name, item in zip(query_plan.output_names, select.items):
-            values = _broadcast(_evaluate_grouped(item.expr, env, n_groups), n_groups)
-            data[name] = _to_column(values[keep], len(keep))
-        result = Table(data)
-        # Stash the group environment for ORDER BY over aggregate expressions.
-        self._last_group_env = (env, keep, n_groups)
-        return result
-
-    def _parallel_eligible(self, query_plan: QueryPlan, n_rows: int) -> bool:
-        """Whether this aggregation can run as partial/final over partitions."""
-        if self.workers < 2 or n_rows < _PARALLEL_MIN_ROWS:
-            return False
-        for aggregate in query_plan.aggregates:
-            if aggregate.distinct or aggregate.func not in _PARALLEL_FUNCS:
-                return False
-        return True
-
-    def _parallel_aggregation(
-        self,
-        query_plan: QueryPlan,
-        table: Table,
-        scope: "_Scope",
-        group_exprs: tuple[Expr, ...],
-        key_arrays: list[np.ndarray],
-        trace: ExecutionTrace | None,
-    ) -> tuple[dict[Expr, np.ndarray], int]:
-        """Partitioned scan + parallel partial aggregate + in-order finalize.
-
-        Rows are split into contiguous partitions; each worker scans its
-        slice of the already-evaluated key/argument columns, groups it
-        locally in first-appearance order, and returns mergeable partial
-        states.  The coordinator walks the partitions **in order**,
-        numbering each unseen key tuple as it appears — which is exactly
-        the first-appearance-over-all-rows numbering ``_factorize``
-        produces — then folds the partials into final values.  With
-        EXPLAIN ANALYZE the plan shows one ``ParallelScan`` +
-        ``PartialAggregate`` node pair per partition (worker-measured
-        times) and a ``FinalizeAggregate`` merge node.
-        """
-        n_rows = table.num_rows
-        n_workers = self.workers
-        funcs = tuple(a.func for a in query_plan.aggregates)
-        agg_arrays = [
-            None
-            if a.argument is None
-            else np.asarray(_broadcast(_evaluate(a.argument, table, scope), n_rows))
-            for a in query_plan.aggregates
-        ]
-        ranges = shard_ranges(n_rows, n_workers)
-        obs.counter("sql.parallel_aggregate")
-        with WorkerPool(n_workers, payload=(key_arrays, agg_arrays)) as pool:
-            parts = pool.map_shards(
-                _work.sql_partial_aggregate,
-                [(lo, hi, funcs) for lo, hi in ranges],
+            positions = index.lookup_range(
+                scan.index_low,
+                scan.index_high,
+                scan.index_include_low,
+                scan.index_include_high,
             )
-        if trace is not None:
-            for i, ((lo, hi), part) in enumerate(zip(ranges, parts)):
-                with trace.op("ParallelScan", f"partition={i} rows[{lo}:{hi}]") as op:
-                    pass
-                op.node.seconds = part["scan_seconds"]
-                op.node.rows_out = part["rows"]
-                with trace.op("PartialAggregate", f"partition={i}") as op:
-                    pass
-                op.node.seconds = part["agg_seconds"]
-                op.node.rows_in = part["rows"]
-                op.node.rows_out = len(part["keys"])
-        with stage_op(
-            trace, "FinalizeAggregate", f"partitions={len(parts)} workers={n_workers}"
-        ) as op:
-            mapping: dict = {}
-            remaps: list[np.ndarray] = []
-            for part in parts:
-                remap = np.empty(len(part["keys"]), dtype=np.int64)
-                for local_gid, key in enumerate(part["keys"]):
-                    gid = mapping.get(key)
-                    if gid is None:
-                        gid = len(mapping)
-                        mapping[key] = gid
-                    remap[local_gid] = gid
-                remaps.append(remap)
-            n_groups = len(mapping)
-            env: dict[Expr, np.ndarray] = {}
-            for k, expr in enumerate(group_exprs):
-                out = np.empty(n_groups, dtype=key_arrays[k].dtype)
-                for key, gid in mapping.items():
-                    out[gid] = key[k]
-                env[expr] = out
-            for i, aggregate in enumerate(query_plan.aggregates):
-                env[aggregate] = _merge_partials(
-                    funcs[i],
-                    agg_arrays[i],
-                    [part["partials"][i] for part in parts],
-                    remaps,
-                    n_groups,
+        table = table.take(positions)
+    if scan is not None and scan.columns is not None:
+        table = table.select(list(scan.columns))
+    node.bytes_scanned = _table_bytes(table)
+    return ctx.rows(_Scope.single(ref.binding, table))
+
+
+def _run_filter(node: PlanNode, ctx: _Context) -> Table:
+    table = ctx.table
+    node.rows_in = table.num_rows
+    mask = _as_bool_mask(_evaluate(node._args, table, ctx.scope), table.num_rows)
+    return ctx.rows(ctx.scope.over(table.filter(mask)))
+
+
+def _run_subquery(node: PlanNode, ctx: _Context) -> Table:
+    derived = _run_stages(node.children, _Context(ctx.engine))
+    return ctx.rows(_Scope.single(node.detail, derived))
+
+
+def _run_join(node: PlanNode, ctx: _Context) -> Table:
+    join, join_plan, n_left = node._args
+    left, right = _Context(ctx.engine), _Context(ctx.engine)
+    _run_stages(node.children[:n_left], left)
+    _run_stages(node.children[n_left:], right)
+    left_scope = left.scope.qualified()
+    right_scope = right.scope.qualified()
+    left_key = left_scope.resolve(join.on_left)
+    right_key = right_scope.resolve(join.on_right)
+    strategy = join_plan.strategy if join_plan is not None else "hash"
+    if strategy == "sort_merge":
+        joined = _sort_merge_join(
+            left_scope.table, left_key, right_scope.table, right_key, join.kind
+        )
+    elif strategy == "index":
+        index = ctx.engine._indexes[join_plan.index_table][join_plan.index_column]
+        joined = _index_join(left_scope.table, left_key, right_scope.table, index, join.kind)
+    else:
+        joined = _hash_join(left_scope.table, left_key, right_scope.table, right_key, join.kind)
+    return ctx.rows(_Scope.joined(joined))
+
+
+# -- operators: projection and aggregation -----------------------------------------
+
+
+def _run_project(node: PlanNode, ctx: _Context) -> Table:
+    query_plan = node._args
+    select = query_plan.select
+    table = ctx.table
+    if isinstance(select.items, Star):
+        return ctx.scope.star_projection(table)
+    data: dict[str, Column] = {}
+    for name, item in zip(query_plan.output_names, select.items):
+        value = _evaluate(item.expr, table, ctx.scope)
+        data[name] = _to_column(value, table.num_rows)
+    return Table(data)
+
+
+def _run_aggregate(node: PlanNode, ctx: _Context) -> Table:
+    query_plan = node._args
+    select = query_plan.select
+    table, scope = ctx.table, ctx.scope
+    n_rows = node.rows_in = table.num_rows
+    group_exprs = _resolve_group_keys(query_plan, scope)
+    key_arrays = [
+        _broadcast(_evaluate(expr, table, scope), n_rows)
+        for expr in group_exprs
+    ]
+    if group_exprs and _parallel_eligible(query_plan, n_rows, ctx.engine.workers):
+        env, n_groups = _parallel_aggregation(
+            node, query_plan, table, scope, group_exprs, key_arrays, ctx.engine.workers
+        )
+    else:
+        if group_exprs:
+            group_ids, n_groups = _factorize(key_arrays)
+        else:
+            group_ids = np.zeros(n_rows, dtype=np.int64)
+            n_groups = 1
+        env = {}
+        for expr, keys in zip(group_exprs, key_arrays):
+            env[expr] = _first_per_group(keys, group_ids, n_groups)
+        for aggregate in query_plan.aggregates:
+            env[aggregate] = _evaluate_aggregate(
+                aggregate, table, scope, group_ids, n_groups
+            )
+    alias_map = _alias_map(query_plan)
+    if select.having is not None:
+        having_expr = _resolve_aliases(select.having, alias_map)
+        mask_values = _evaluate_grouped(having_expr, env, n_groups)
+        mask = _as_bool_mask(mask_values, n_groups)
+        keep = np.flatnonzero(mask)
+    else:
+        keep = np.arange(n_groups)
+    data: dict[str, Column] = {}
+    for name, item in zip(query_plan.output_names, select.items):
+        values = _broadcast(_evaluate_grouped(item.expr, env, n_groups), n_groups)
+        data[name] = _to_column(values[keep], len(keep))
+    ctx.groups = (env, keep, n_groups)
+    return Table(data)
+
+
+def _parallel_eligible(query_plan: QueryPlan, n_rows: int, workers: int) -> bool:
+    """Whether this aggregation can run as partial/final over partitions."""
+    if workers < 2 or n_rows < _PARALLEL_MIN_ROWS:
+        return False
+    for aggregate in query_plan.aggregates:
+        if aggregate.distinct or aggregate.func not in _PARALLEL_FUNCS:
+            return False
+    return True
+
+
+def _parallel_aggregation(
+    node: PlanNode,
+    query_plan: QueryPlan,
+    table: Table,
+    scope: _Scope,
+    group_exprs: tuple[Expr, ...],
+    key_arrays: list[np.ndarray],
+    n_workers: int,
+) -> tuple[dict[Expr, np.ndarray], int]:
+    """Partitioned scan + parallel partial aggregate + in-order finalize.
+
+    Rows are split into contiguous partitions; each worker scans its
+    slice of the already-evaluated key/argument columns, groups it
+    locally in first-appearance order, and returns mergeable partial
+    states.  The coordinator walks the partitions **in order**,
+    numbering each unseen key tuple as it appears — which is exactly
+    the first-appearance-over-all-rows numbering ``_factorize``
+    produces — then folds the partials into final values.  The
+    ``Aggregate`` node gains one ``ParallelScan`` + ``PartialAggregate``
+    child pair per partition (worker-measured times) and a
+    ``FinalizeAggregate`` merge child.
+    """
+    n_rows = table.num_rows
+    funcs = tuple(a.func for a in query_plan.aggregates)
+    agg_arrays = [
+        None
+        if a.argument is None
+        else np.asarray(_broadcast(_evaluate(a.argument, table, scope), n_rows))
+        for a in query_plan.aggregates
+    ]
+    ranges = shard_ranges(n_rows, n_workers)
+    obs.counter("sql.parallel_aggregate")
+    with WorkerPool(n_workers, payload=(key_arrays, agg_arrays)) as pool:
+        parts = pool.map_shards(
+            _work.sql_partial_aggregate,
+            [(lo, hi, funcs) for lo, hi in ranges],
+        )
+    for i, ((lo, hi), part) in enumerate(zip(ranges, parts)):
+        node.children.append(
+            PlanNode(
+                "ParallelScan",
+                f"partition={i} rows[{lo}:{hi}]",
+                rows_out=part["rows"],
+                seconds=part["scan_seconds"],
+            )
+        )
+        node.children.append(
+            PlanNode(
+                "PartialAggregate",
+                f"partition={i}",
+                rows_in=part["rows"],
+                rows_out=len(part["keys"]),
+                seconds=part["agg_seconds"],
+            )
+        )
+    finalize = _child(node, "FinalizeAggregate", f"partitions={len(parts)} workers={n_workers}")
+    args = (finalize, query_plan, group_exprs, key_arrays, agg_arrays, parts)
+    return _timed(finalize, _finalize_aggregate, *args)
+
+
+def _finalize_aggregate(
+    node: PlanNode,
+    query_plan: QueryPlan,
+    group_exprs: tuple[Expr, ...],
+    key_arrays: list[np.ndarray],
+    agg_arrays: list[np.ndarray | None],
+    parts: list[dict],
+) -> tuple[dict[Expr, np.ndarray], int]:
+    """Number the partitions' groups in order and merge their partials."""
+    mapping: dict = {}
+    remaps: list[np.ndarray] = []
+    for part in parts:
+        remap = np.empty(len(part["keys"]), dtype=np.int64)
+        for local_gid, key in enumerate(part["keys"]):
+            gid = mapping.get(key)
+            if gid is None:
+                gid = len(mapping)
+                mapping[key] = gid
+            remap[local_gid] = gid
+        remaps.append(remap)
+    n_groups = len(mapping)
+    env: dict[Expr, np.ndarray] = {}
+    for k, expr in enumerate(group_exprs):
+        out = np.empty(n_groups, dtype=key_arrays[k].dtype)
+        for key, gid in mapping.items():
+            out[gid] = key[k]
+        env[expr] = out
+    for i, aggregate in enumerate(query_plan.aggregates):
+        env[aggregate] = _merge_partials(
+            aggregate.func,
+            agg_arrays[i],
+            [part["partials"][i] for part in parts],
+            remaps,
+            n_groups,
+        )
+    node.rows_in = sum(len(part["keys"]) for part in parts)
+    node.rows_out = n_groups
+    return env, n_groups
+
+
+# -- operators: DISTINCT, ORDER BY, LIMIT ----------------------------------------------
+
+
+def _run_distinct(node: PlanNode, ctx: _Context) -> Table:
+    node.rows_in = ctx.result.num_rows
+    return ctx.result.distinct()
+
+
+def _run_sort(node: PlanNode, ctx: _Context) -> Table:
+    query_plan = node._args
+    select = query_plan.select
+    result, table, scope = ctx.result, ctx.table, ctx.scope
+    sort_arrays: list[np.ndarray] = []
+    flags: list[bool] = []
+    alias_map = _alias_map(query_plan)
+    for item in select.order_by:
+        expr = item.expr
+        if isinstance(expr, Literal) and isinstance(expr.value, int):
+            index = expr.value - 1
+            if not 0 <= index < result.num_columns:
+                raise SqlPlanError(
+                    f"ORDER BY position {expr.value} out of range"
                 )
-            op.rows_in = sum(len(part["keys"]) for part in parts)
-            op.rows_out = n_groups
-        return env, n_groups
+            values = result[result.column_names[index]]
+        elif isinstance(expr, ColumnRef) and expr.table is None and expr.name in result:
+            values = result[expr.name]
+        elif expr in alias_map.values() and _find_output(expr, query_plan) is not None:
+            values = result[_find_output(expr, query_plan)]
+        elif query_plan.is_aggregation:
+            env, keep, n_groups = ctx.groups
+            resolved = _resolve_aliases(expr, alias_map)
+            values = _broadcast(
+                _evaluate_grouped(resolved, env, n_groups), n_groups
+            )[keep]
+        else:
+            if select.distinct:
+                raise SqlPlanError(
+                    "ORDER BY with DISTINCT must reference output columns"
+                )
+            values = _broadcast(_evaluate(expr, table, scope), table.num_rows)
+        if len(values) != result.num_rows:
+            raise SqlExecutionError("ORDER BY expression length mismatch")
+        sort_arrays.append(np.asarray(values))
+        flags.append(item.descending)
+    codes = []
+    for values, descending in zip(sort_arrays, flags):
+        code = _order_codes(values)
+        codes.append(-code if descending else code)
+    order = np.lexsort(list(reversed(codes)))
+    return result.take(order)
 
-    # -- ORDER BY ---------------------------------------------------------------
 
-    def _apply_order(
-        self, query_plan: QueryPlan, result: Table, table: Table, scope: "_Scope"
-    ) -> Table:
-        select = query_plan.select
-        if not select.order_by:
-            return result
-        sort_arrays: list[np.ndarray] = []
-        flags: list[bool] = []
-        alias_map = _alias_map(query_plan)
-        for item in select.order_by:
-            expr = item.expr
-            if isinstance(expr, Literal) and isinstance(expr.value, int):
-                index = expr.value - 1
-                if not 0 <= index < result.num_columns:
-                    raise SqlPlanError(
-                        f"ORDER BY position {expr.value} out of range"
-                    )
-                values = result[result.column_names[index]]
-            elif isinstance(expr, ColumnRef) and expr.table is None and expr.name in result:
-                values = result[expr.name]
-            elif expr in alias_map.values() and _find_output(expr, query_plan) is not None:
-                values = result[_find_output(expr, query_plan)]
-            elif query_plan.is_aggregation:
-                env, keep, n_groups = self._last_group_env
-                resolved = _resolve_aliases(expr, alias_map)
-                values = _broadcast(
-                    _evaluate_grouped(resolved, env, n_groups), n_groups
-                )[keep]
-            else:
-                if select.distinct:
-                    raise SqlPlanError(
-                        "ORDER BY with DISTINCT must reference output columns"
-                    )
-                values = _broadcast(_evaluate(expr, table, scope), table.num_rows)
-            if len(values) != result.num_rows:
-                raise SqlExecutionError("ORDER BY expression length mismatch")
-            sort_arrays.append(np.asarray(values))
-            flags.append(item.descending)
-        codes = []
-        for values, descending in zip(sort_arrays, flags):
-            code = _order_codes(values)
-            codes.append(-code if descending else code)
-        order = np.lexsort(list(reversed(codes)))
-        return result.take(order)
+def _run_limit(node: PlanNode, ctx: _Context) -> Table:
+    node.rows_in = ctx.result.num_rows
+    return ctx.result.slice(*node._args)
+
+
+#: What runs for each pipeline node, dispatched on ``node.op``.
+_RUNNERS: dict[str, Callable[[PlanNode, _Context], Table]] = {
+    "Scan": _run_scan,
+    "Filter": _run_filter,
+    "Subquery": _run_subquery,
+    "Join": _run_join,
+    "Project": _run_project,
+    "Aggregate": _run_aggregate,
+    "Distinct": _run_distinct,
+    "Sort": _run_sort,
+    "Limit": _run_limit,
+}
 
 
 # -- scope -----------------------------------------------------------------------
@@ -849,6 +892,10 @@ class _Scope:
     def joined(cls, table: Table) -> "_Scope":
         """Scope over a join result with qualified column names."""
         return cls(table, None, is_join=True)
+
+    def over(self, table: Table) -> "_Scope":
+        """This scope's names over ``table`` (the same rows, filtered)."""
+        return _Scope(table, self._binding, self._is_join)
 
     def qualified(self) -> "_Scope":
         """Return this scope with every physical column qualified."""

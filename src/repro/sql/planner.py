@@ -61,6 +61,8 @@ class QueryPlan:
     aggregates: tuple[Aggregate, ...]
     output_names: tuple[str, ...]
     table_names: tuple[str, ...] = field(default_factory=tuple)
+    #: The validated plan of each FROM-subquery, by binding.
+    subplans: dict[str, QueryPlan] = field(default_factory=dict)
 
 
 def walk(expr: Expr) -> Iterator[Expr]:
@@ -148,9 +150,9 @@ def plan(select: Select) -> QueryPlan:
     bindings = [t.binding for t in tables]
     if len(set(bindings)) != len(bindings):
         raise SqlPlanError(f"duplicate table binding in FROM: {bindings}")
-    for table in tables:
-        if isinstance(table, SubquerySource):
-            plan(table.select)  # validate derived tables eagerly
+    subplans = {  # derived tables are validated eagerly, and planned once
+        t.binding: plan(t.select) for t in tables if isinstance(t, SubquerySource)
+    }
 
     if select.where is not None and find_aggregates(select.where):
         raise SqlPlanError("aggregate functions are not allowed in WHERE")
@@ -194,6 +196,7 @@ def plan(select: Select) -> QueryPlan:
         table_names=tuple(
             t.name for t in tables if isinstance(t, TableRef)
         ),
+        subplans=subplans,
     )
 
 
@@ -311,6 +314,7 @@ class PhysicalPlan:
     options: PlannerOptions
     scans: dict[str, ScanPlan] = field(default_factory=dict)  # by binding
     subquery_rows: dict[str, int] = field(default_factory=dict)  # by binding
+    subqueries: dict[str, PhysicalPlan | None] = field(default_factory=dict)  # by binding
     joins: dict[Join, JoinPlan] = field(default_factory=dict)
     residual_where: Expr | None = None
     estimates: dict[str, int] = field(default_factory=dict)
@@ -357,8 +361,9 @@ def optimize(
                 return None
             infos[source.binding] = info
         else:
-            inner_plan = plan(source.select)
+            inner_plan = query_plan.subplans[source.binding]
             inner_physical = optimize(inner_plan, source_info, options)
+            physical.subqueries[source.binding] = inner_physical
             est = inner_physical.estimates.get("final", 0) if inner_physical else 0
             physical.subquery_rows[source.binding] = est
             if isinstance(source.select.items, Star):

@@ -4,7 +4,6 @@ import pytest
 
 from repro import obs
 from repro.sql import QueryEngine, format_plan
-from repro.sql.analyze import ExecutionTrace, stage_op
 from repro.table import Table
 
 
@@ -20,12 +19,14 @@ def engine():
     return QueryEngine({"blocks": blocks, "pools": extra})
 
 
-def ops(node, acc=None):
-    acc = [] if acc is None else acc
-    acc.append(node.op)
+def walk(node):
+    yield node
     for child in node.children:
-        ops(child, acc)
-    return acc
+        yield from walk(child)
+
+
+def ops(node):
+    return [n.op for n in walk(node)]
 
 
 class TestPlanTree:
@@ -103,32 +104,54 @@ class TestFormatPlan:
 
 
 class TestStageOpRouting:
-    def test_collector_takes_priority(self):
-        trace = ExecutionTrace()
-        with stage_op(trace, "Scan", "blocks") as op:
-            op.rows_out = 7
-        (node,) = trace.root.children
-        assert node.op == "Scan"
-        assert node.rows_out == 7
-        assert node.seconds >= 0
+    """Where each executed plan node reports: its tree, the tracer, or nowhere."""
 
-    def test_null_op_when_nothing_active(self):
-        assert not obs.tracing_enabled()
-        with stage_op(None, "Scan") as op:
-            op.rows_in = 5
-            op.rows_out = 3
-        # accepts writes, records nothing
+    SQL = (
+        "SELECT b.producer, COUNT(*) AS n FROM blocks b "
+        "JOIN pools p ON b.producer = p.producer WHERE b.height > 1 "
+        "GROUP BY b.producer ORDER BY n DESC LIMIT 2"
+    )
 
-    def test_obs_spans_when_tracing_enabled(self):
+    def test_traced_execute_emits_one_span_per_executed_node(self, engine):
+        _, root = engine.explain_analyze(self.SQL)
+        execute = next(c for c in root.children if c.op == "Execute")
+        nodes = list(walk(execute))[1:]  # the Execute root is not a span here
         tracer = obs.enable_tracing()
         try:
-            with stage_op(None, "Scan", "blocks") as op:
-                op.rows_out = 4
-            (span,) = tracer.spans
-            assert span.name == "sql.Scan"
-            assert span.attrs["rows_out"] == 4
+            engine.execute(self.SQL)
         finally:
             obs.disable_tracing()
+        (query,) = [s for s in tracer.spans if s.name == "sql.query"]
+        spans = sorted(
+            (s for s in tracer.spans if s.name != "sql.query"), key=lambda s: s.start
+        )
+        assert [s.name for s in spans] == [f"sql.{node.op}" for node in nodes]
+        for span, node in zip(spans, nodes):
+            for name in ("rows_in", "rows_out", "rows_est", "bytes_scanned"):
+                assert span.attrs.get(name) == getattr(node, name), (span.name, name)
+            assert span.start >= query.start and span.end <= query.end
+        scan = next(s for s in spans if s.name == "sql.Scan")
+        assert scan.attrs["rows_out"] == 10 and scan.attrs["bytes_scanned"] > 0
+
+    def test_untraced_execute_records_no_span_or_counter(self, engine):
+        tracer = obs.enable_tracing()  # clears earlier data
+        obs.disable_tracing()
+        engine.execute(self.SQL)
+        assert tracer.spans == []
+        assert tracer.metrics.snapshot()["counters"] == {}
+
+    def test_traced_explain_analyze_spans_follow_its_tree(self, engine):
+        tracer = obs.enable_tracing()
+        try:
+            _, root = engine.explain_analyze(self.SQL)
+        finally:
+            obs.disable_tracing()
+        spans = sorted(tracer.spans, key=lambda s: s.start)
+        assert [s.name for s in spans] == [f"sql.{node.op}" for node in walk(root)][1:]
+        assert spans[-1].attrs["rows_out"] == 2  # the Limit
+        counters = tracer.metrics.snapshot()["counters"]
+        assert counters["sql.op.execute.rows_out"] == 2.0
+        assert counters["sql.op.limit.rows_out"] == 2.0
 
     def test_execute_emits_sql_spans_under_tracing(self, engine):
         tracer = obs.enable_tracing()

@@ -26,8 +26,9 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.sql import PlannerOptions, QueryEngine
+from repro.sql import PlannerOptions, PlanNode, QueryEngine, format_plan
 from repro.sql import executor as executor_module
+from repro.sql import planner as planner_module
 from repro.table import Table
 
 GOLDEN_PATH = Path(__file__).with_name("plan_golden.json")
@@ -229,6 +230,53 @@ class TestGoldenPlans:
         kind, sql = CASES[name]
         reference = QueryEngine(catalog(), optimizer=False)
         assert make_engine(kind).execute(sql).to_rows() == reference.execute(sql).to_rows()
+
+
+#: Nodes that exist only while a query runs: never part of EXPLAIN.
+RUNTIME_ONLY = frozenset({"Optimize", "ParallelScan", "PartialAggregate", "FinalizeAggregate"})
+
+
+def planned(node: PlanNode) -> PlanNode:
+    """``node``'s subtree as EXPLAIN would show it: no actuals, no runtime nodes."""
+    return PlanNode(
+        node.op,
+        node.detail,
+        rows_est=node.rows_est,
+        children=[planned(c) for c in node.children if c.op not in RUNTIME_ONLY],
+    )
+
+
+class TestOneTree:
+    """EXPLAIN renders the tree execution runs; each SELECT is planned once."""
+
+    @pytest.mark.parametrize(
+        "name",
+        sorted(n for n, (kind, sql) in CASES.items() if kind != "off" and "UNION" not in sql),
+    )
+    def test_explain_shows_what_runs(self, name):
+        kind, sql = CASES[name]
+        engine = make_engine(kind)
+        _, root = engine.explain_analyze(sql)
+        (execute,) = [c for c in root.children if c.op == "Execute"]
+        shown = engine.explain(sql).split("-- physical plan (estimated rows) --\n")[1]
+        assert format_plan(planned(execute), include_time=False) == shown
+
+    def test_each_select_is_planned_and_optimized_once(self, monkeypatch):
+        calls = {"plan": 0, "optimize": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            wrapped = counting(name, getattr(planner_module, name))
+            monkeypatch.setattr(planner_module, name, wrapped)
+            monkeypatch.setattr(executor_module, name, wrapped)
+        make_engine("default").execute(CASES["subquery_aggregate"][1])
+        assert calls == {"plan": 2, "optimize": 2}
 
 
 if __name__ == "__main__":
