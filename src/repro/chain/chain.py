@@ -22,7 +22,7 @@ import numpy as np
 from repro.chain.block import Block
 from repro.chain.specs import ChainSpec
 from repro.errors import ChainError
-from repro.table import Table
+from repro.table import Column, Table
 
 
 class Chain:
@@ -244,38 +244,49 @@ class Chain:
     def to_table(self) -> Table:
         """One row per (block, producer) credit, ready for SQL queries.
 
-        Columns: ``height`` (int), ``timestamp`` (int), ``producer`` (str),
-        ``n_producers`` (int, the block's total producer count).
+        Columns: ``height`` (int), ``timestamp`` (int), ``producer`` (str,
+        dictionary-encoded: its codes are ``producer_ids`` itself, not a
+        copy), ``n_producers`` (int, the block's total producer count).
         """
         counts = self.producer_counts()
         heights = np.repeat(self.heights, counts)
         timestamps = np.repeat(self.timestamps, counts)
         n_producers = np.repeat(counts, counts)
-        names = np.empty(self.n_credits, dtype=object)
-        lookup = self.producer_names
-        for i, pid in enumerate(self.producer_ids):
-            names[i] = lookup[pid]
         return Table(
             {
                 "height": heights,
                 "timestamp": timestamps,
-                "producer": names,
+                "producer": self._producer_column(self.producer_ids),
                 "n_producers": n_producers,
             }
         )
 
     def block_table(self) -> Table:
-        """One row per block: ``height``, ``timestamp``, ``primary_producer``."""
-        first = self.offsets[:-1]
-        names = np.empty(self.n_blocks, dtype=object)
-        lookup = self.producer_names
-        for i, pid in enumerate(self.producer_ids[first]):
-            names[i] = lookup[pid]
+        """One row per block: ``height``, ``timestamp``, ``primary_producer``.
+
+        ``primary_producer`` is dictionary-encoded.  When every block has
+        exactly one producer its codes are ``producer_ids`` itself.
+        """
+        if self.n_credits == self.n_blocks:  # each block has >= 1 producer
+            codes = self.producer_ids
+        else:
+            codes = self.producer_ids[self.offsets[:-1]]
         return Table(
             {
                 "height": self.heights,
                 "timestamp": self.timestamps,
-                "primary_producer": names,
+                "primary_producer": self._producer_column(codes),
                 "n_producers": self.producer_counts(),
             }
         )
+
+    def _producer_column(self, codes: np.ndarray) -> Column:
+        """``producer_names[codes]`` as a dictionary-encoded column.
+
+        Every chain the package builds has unique producer names; a chain
+        built by hand with a repeated name gets a plain column.
+        """
+        names = self.producer_names
+        if len(set(names)) < len(names):
+            return Column(np.asarray(names, dtype=object)[codes], "str")
+        return Column.from_codes(codes, names)

@@ -27,17 +27,19 @@ def sql_partial_aggregate(lo: int, hi: int, funcs: tuple) -> dict:
     """Partition-local group-by partials over rows ``[lo, hi)``.
 
     Payload: ``(key_arrays, agg_arrays)`` — the already-evaluated GROUP BY
-    key columns and aggregate argument columns (``None`` for ``COUNT(*)``),
-    full-length; the worker scans only its slice (the partitioned columnar
-    scan).  ``funcs`` holds one aggregate function name per entry of
-    ``agg_arrays`` (``COUNT``, ``SUM``, ``AVG``, ``MIN`` or ``MAX``).
+    key columns (dictionary codes for encoded columns) and aggregate
+    argument columns (``None`` for ``COUNT(*)``), full-length; the worker
+    scans only its slice (the partitioned columnar scan).  ``funcs`` holds
+    one aggregate function name per entry of ``agg_arrays`` (``COUNT``,
+    ``SUM``, ``AVG``, ``MIN`` or ``MAX``).
 
-    Returns the partition's group keys in local first-appearance order plus
-    mergeable partial states per aggregate; the coordinator's in-order
+    Returns the partition's groups (``groups``), one array per key column
+    holding each group's key in local first-appearance order (``keys``),
+    and mergeable partial states per aggregate; the coordinator's in-order
     merge reconstructs the serial group numbering (see
     ``_parallel_aggregation`` in :mod:`repro.sql.executor`).
     """
-    from repro.table.aggregates import grouped_aggregate
+    from repro.table.aggregates import factorize, grouped_aggregate
 
     key_arrays, agg_arrays = _pool.worker_payload()
     scan_start = time.perf_counter()
@@ -45,8 +47,7 @@ def sql_partial_aggregate(lo: int, hi: int, funcs: tuple) -> dict:
     local_args = [None if a is None else a[lo:hi] for a in agg_arrays]
     scan_seconds = time.perf_counter() - scan_start
     agg_start = time.perf_counter()
-    group_ids, group_keys = _factorize_local(local_keys)
-    n_groups = len(group_keys)
+    group_ids, n_groups, first_rows = factorize(local_keys)
     partials: list = []
     for func, values in zip(funcs, local_args):
         if values is None:  # COUNT(*)
@@ -77,31 +78,13 @@ def sql_partial_aggregate(lo: int, hi: int, funcs: tuple) -> dict:
         else:  # pragma: no cover - guarded by the coordinator's eligibility check
             raise ValueError(f"aggregate {func!r} has no mergeable partial")
     return {
-        "keys": group_keys,
+        "keys": [a[first_rows] for a in local_keys],
+        "groups": n_groups,
         "partials": partials,
         "rows": hi - lo,
         "scan_seconds": scan_seconds,
         "agg_seconds": time.perf_counter() - agg_start,
     }
-
-
-def _factorize_local(key_arrays: list[np.ndarray]) -> tuple[np.ndarray, list[tuple]]:
-    """Group ids in first-appearance order plus the key tuple per group.
-
-    Mirrors the executor's ``_factorize`` semantics (groups numbered by
-    first appearance) so the coordinator's partition-order merge assigns
-    the same global numbering the serial path would.
-    """
-    combos = list(zip(*[a.tolist() for a in key_arrays]))
-    mapping: dict = {}
-    ids = np.empty(len(combos), dtype=np.int64)
-    for i, combo in enumerate(combos):
-        gid = mapping.get(combo)
-        if gid is None:
-            gid = len(mapping)
-            mapping[combo] = gid
-        ids[i] = gid
-    return ids, list(mapping)
 
 
 def _null_mask(values: np.ndarray) -> np.ndarray:

@@ -59,7 +59,7 @@ from repro.sql.planner import (
     source_tables,
 )
 from repro.table import Table
-from repro.table.aggregates import grouped_aggregate
+from repro.table.aggregates import factorize, grouped_aggregate
 from repro.table.column import Column
 from repro.table.index import Index, build_index
 from repro.table.stats import TableStatistics
@@ -344,7 +344,9 @@ class QueryEngine:
 
         With the optimizer enabled the logical summary is followed by the
         plan tree execution would run (access paths, join strategies and
-        estimated rows per operator), rendered without timings.
+        estimated rows per operator), rendered without timings.  A UNION
+        ALL shows each member's summary and tree after a ``-- member i --``
+        line.
         """
         statement = parse(sql)
         if isinstance(statement, Analyze):
@@ -355,11 +357,16 @@ class QueryEngine:
                 "min/max and most-common values"
             )
         if isinstance(statement, Union):
-            members = "\n".join(
-                f"-- member {i + 1} --" for i in range(len(statement.selects))
-            )
-            return f"UNION ALL of {len(statement.selects)} selects\n{members}"
-        query_plan = plan(statement)
+            lines = [f"UNION ALL of {len(statement.selects)} selects"]
+            for i, select in enumerate(statement.selects):
+                lines.append(f"-- member {i + 1} --")
+                lines.extend(self._explain_select(plan(select), PlanNode("Member", str(i + 1))))
+            return "\n".join(lines)
+        return "\n".join(self._explain_select(plan(statement), PlanNode("Execute")))
+
+    def _explain_select(self, query_plan: QueryPlan, root: PlanNode) -> list[str]:
+        """One SELECT's logical summary, then the plan tree it would run under
+        ``root`` (the statement's ``Execute`` or a UNION ``Member``)."""
         select = query_plan.select
         lines = [
             "FROM "
@@ -382,15 +389,13 @@ class QueryEngine:
             lines.append(f"LIMIT {select.limit} OFFSET {select.offset or 0}")
         physical = self._optimize(query_plan)
         if physical is not None:
-            tree = PlanNode(
-                "Execute",
-                rows_est=physical.estimates.get("final"),
-                children=_stages(query_plan, physical),
-            )
+            if root.op == "Execute":
+                root.rows_est = physical.estimates.get("final")
+            root.children = _stages(query_plan, physical)
             lines.append("")
             lines.append("-- physical plan (estimated rows) --")
-            lines.append(format_plan(tree, include_time=False))
-        return "\n".join(lines)
+            lines.append(format_plan(root, include_time=False))
+        return lines
 
     def _lookup(self, name: str) -> Table:
         try:
@@ -649,23 +654,20 @@ def _run_aggregate(node: PlanNode, ctx: _Context) -> Table:
     table, scope = ctx.table, ctx.scope
     n_rows = node.rows_in = table.num_rows
     group_exprs = _resolve_group_keys(query_plan, scope)
-    key_arrays = [
-        _broadcast(_evaluate(expr, table, scope), n_rows)
-        for expr in group_exprs
-    ]
+    keys = [_group_key(expr, table, scope) for expr in group_exprs]
     if group_exprs and _parallel_eligible(query_plan, n_rows, ctx.engine.workers):
         env, n_groups = _parallel_aggregation(
-            node, query_plan, table, scope, group_exprs, key_arrays, ctx.engine.workers
+            node, query_plan, table, scope, group_exprs, keys, ctx.engine.workers
         )
     else:
         if group_exprs:
-            group_ids, n_groups = _factorize(key_arrays)
+            group_ids, n_groups, first_rows = factorize([array for array, _ in keys])
         else:
             group_ids = np.zeros(n_rows, dtype=np.int64)
             n_groups = 1
         env = {}
-        for expr, keys in zip(group_exprs, key_arrays):
-            env[expr] = _first_per_group(keys, group_ids, n_groups)
+        for expr, (array, categories) in zip(group_exprs, keys):
+            env[expr] = _decode(array[first_rows], categories)
         for aggregate in query_plan.aggregates:
             env[aggregate] = _evaluate_aggregate(
                 aggregate, table, scope, group_ids, n_groups
@@ -686,6 +688,45 @@ def _run_aggregate(node: PlanNode, ctx: _Context) -> Table:
     return Table(data)
 
 
+def _group_key(expr: Expr, table: Table, scope: _Scope) -> tuple[np.ndarray, np.ndarray | None]:
+    """A GROUP BY key's per-row array and, if those are codes, their categories.
+
+    A bare reference to a dictionary-encoded column groups on its codes;
+    any other key on its evaluated values.
+    """
+    column = _encoded_column(expr, table, scope)
+    if column is not None:
+        return column.codes, column.categories
+    return _broadcast(_evaluate(expr, table, scope), table.num_rows), None
+
+
+def _encoded_column(expr: Expr, table: Table, scope: _Scope) -> Column | None:
+    """The dictionary-encoded column ``expr`` names, if it is a bare reference to one."""
+    if isinstance(expr, ColumnRef):
+        column = table.column(scope.resolve(expr))
+        if column.codes is not None:
+            return column
+    return None
+
+
+def _decode(array: np.ndarray, categories: np.ndarray | None) -> np.ndarray:
+    """Group key values: ``array`` itself, or the categories its codes name."""
+    return array if categories is None else categories[array]
+
+
+def _aggregate_argument(aggregate: Aggregate, table: Table, scope: _Scope) -> np.ndarray:
+    """An aggregate's per-row argument; COUNT of an encoded column reads its codes.
+
+    Codes are never NULL, and equal codes are equal strings, so COUNT and
+    COUNT(DISTINCT) give the same answers on them.
+    """
+    if aggregate.func == "COUNT":
+        column = _encoded_column(aggregate.argument, table, scope)
+        if column is not None:
+            return column.codes
+    return np.asarray(_broadcast(_evaluate(aggregate.argument, table, scope), table.num_rows))
+
+
 def _parallel_eligible(query_plan: QueryPlan, n_rows: int, workers: int) -> bool:
     """Whether this aggregation can run as partial/final over partitions."""
     if workers < 2 or n_rows < _PARALLEL_MIN_ROWS:
@@ -702,30 +743,29 @@ def _parallel_aggregation(
     table: Table,
     scope: _Scope,
     group_exprs: tuple[Expr, ...],
-    key_arrays: list[np.ndarray],
+    keys: list[tuple[np.ndarray, np.ndarray | None]],
     n_workers: int,
 ) -> tuple[dict[Expr, np.ndarray], int]:
     """Partitioned scan + parallel partial aggregate + in-order finalize.
 
     Rows are split into contiguous partitions; each worker scans its
-    slice of the already-evaluated key/argument columns, groups it
-    locally in first-appearance order, and returns mergeable partial
-    states.  The coordinator walks the partitions **in order**,
-    numbering each unseen key tuple as it appears — which is exactly
-    the first-appearance-over-all-rows numbering ``_factorize``
-    produces — then folds the partials into final values.  The
-    ``Aggregate`` node gains one ``ParallelScan`` + ``PartialAggregate``
-    child pair per partition (worker-measured times) and a
-    ``FinalizeAggregate`` merge child.
+    slice of the already-evaluated key/argument columns (codes for
+    encoded keys), groups it locally in first-appearance order, and
+    returns its groups' keys plus mergeable partial states.  The
+    coordinator numbers the partitions' keys **in partition order** by
+    first appearance — exactly the first-appearance-over-all-rows
+    numbering the serial path produces — then folds the partials into
+    final values.  The ``Aggregate`` node gains one ``ParallelScan`` +
+    ``PartialAggregate`` child pair per partition (worker-measured times)
+    and a ``FinalizeAggregate`` merge child.
     """
     n_rows = table.num_rows
     funcs = tuple(a.func for a in query_plan.aggregates)
     agg_arrays = [
-        None
-        if a.argument is None
-        else np.asarray(_broadcast(_evaluate(a.argument, table, scope), n_rows))
+        None if a.argument is None else _aggregate_argument(a, table, scope)
         for a in query_plan.aggregates
     ]
+    key_arrays = [array for array, _ in keys]
     ranges = shard_ranges(n_rows, n_workers)
     obs.counter("sql.parallel_aggregate")
     with WorkerPool(n_workers, payload=(key_arrays, agg_arrays)) as pool:
@@ -747,12 +787,12 @@ def _parallel_aggregation(
                 "PartialAggregate",
                 f"partition={i}",
                 rows_in=part["rows"],
-                rows_out=len(part["keys"]),
+                rows_out=part["groups"],
                 seconds=part["agg_seconds"],
             )
         )
     finalize = _child(node, "FinalizeAggregate", f"partitions={len(parts)} workers={n_workers}")
-    args = (finalize, query_plan, group_exprs, key_arrays, agg_arrays, parts)
+    args = (finalize, query_plan, group_exprs, keys, agg_arrays, parts)
     return _timed(finalize, _finalize_aggregate, *args)
 
 
@@ -760,29 +800,21 @@ def _finalize_aggregate(
     node: PlanNode,
     query_plan: QueryPlan,
     group_exprs: tuple[Expr, ...],
-    key_arrays: list[np.ndarray],
+    keys: list[tuple[np.ndarray, np.ndarray | None]],
     agg_arrays: list[np.ndarray | None],
     parts: list[dict],
 ) -> tuple[dict[Expr, np.ndarray], int]:
-    """Number the partitions' groups in order and merge their partials."""
-    mapping: dict = {}
-    remaps: list[np.ndarray] = []
-    for part in parts:
-        remap = np.empty(len(part["keys"]), dtype=np.int64)
-        for local_gid, key in enumerate(part["keys"]):
-            gid = mapping.get(key)
-            if gid is None:
-                gid = len(mapping)
-                mapping[key] = gid
-            remap[local_gid] = gid
-        remaps.append(remap)
-    n_groups = len(mapping)
+    """Number the partitions' groups in order, merge their partials and
+    decode the group keys."""
+    merged = [
+        np.concatenate([part["keys"][k] for part in parts]) for k in range(len(keys))
+    ]
+    group_ids, n_groups, first_rows = factorize(merged)
+    bounds = np.cumsum([part["groups"] for part in parts])[:-1]
+    remaps = np.split(group_ids, bounds)
     env: dict[Expr, np.ndarray] = {}
-    for k, expr in enumerate(group_exprs):
-        out = np.empty(n_groups, dtype=key_arrays[k].dtype)
-        for key, gid in mapping.items():
-            out[gid] = key[k]
-        env[expr] = out
+    for expr, array, (_, categories) in zip(group_exprs, merged, keys):
+        env[expr] = _decode(array[first_rows], categories)
     for i, aggregate in enumerate(query_plan.aggregates):
         env[aggregate] = _merge_partials(
             aggregate.func,
@@ -791,7 +823,7 @@ def _finalize_aggregate(
             remaps,
             n_groups,
         )
-    node.rows_in = sum(len(part["keys"]) for part in parts)
+    node.rows_in = len(group_ids)
     node.rows_out = n_groups
     return env, n_groups
 
@@ -1056,30 +1088,29 @@ def _assemble_join(left: Table, right: Table, left_rows: Any, right_rows: Any) -
     """Materialize join output from matched row-index pairs.
 
     ``right_rows == -1`` marks a LEFT JOIN miss: right columns widen to
-    NULL (``None`` for strings, NaN for numerics) on those rows.
+    NULL (``None`` for strings, NaN for numerics) on those rows, and so
+    lose any dictionary encoding; without misses, columns keep theirs.
     """
     left_part = left.take(np.asarray(left_rows, dtype=np.int64))
     right_idx = np.asarray(right_rows, dtype=np.int64)
     missing = right_idx < 0
+    any_missing = bool(missing.any())
     safe_idx = np.where(missing, 0, right_idx)
     data = {name: left_part.column(name) for name in left_part.column_names}
     for name in right.column_names:
         column = right.column(name)
         if right.num_rows == 0:
             data[name] = Column(np.full(len(right_idx), np.nan), "float")
-            continue
-        taken = column.values[safe_idx]
-        if missing.any():
-            if column.kind == "str":
-                taken = taken.copy()
-                taken[missing] = None
-                data[name] = Column(taken, "str")
-            else:
-                values = taken.astype(np.float64)
-                values[missing] = np.nan
-                data[name] = Column(values, "float")
+        elif not any_missing:
+            data[name] = column.take(right_idx)
+        elif column.kind == "str":
+            taken = column.values[safe_idx]
+            taken[missing] = None
+            data[name] = Column(taken, "str")
         else:
-            data[name] = Column(taken, column.kind)
+            values = column.values[safe_idx].astype(np.float64)
+            values[missing] = np.nan
+            data[name] = Column(values, "float")
     return Table(data)
 
 
@@ -1177,18 +1208,15 @@ def _evaluate_aggregate(
 ) -> np.ndarray:
     if aggregate.argument is None:  # COUNT(*)
         return np.bincount(group_ids, minlength=n_groups).astype(np.int64)
-    values = _broadcast(
-        _evaluate(aggregate.argument, table, scope), table.num_rows
-    )
-    values = np.asarray(values)
+    values = _aggregate_argument(aggregate, table, scope)
     if aggregate.func == "COUNT":
-        non_null = ~_is_null(values, len(values))
-        rows = np.flatnonzero(non_null)
+        nulls = _is_null(values, len(values))
+        if nulls.any():
+            rows = np.flatnonzero(~nulls)
+            values, group_ids = values[rows], group_ids[rows]
         if aggregate.distinct:
-            return grouped_aggregate(
-                values[rows], group_ids[rows], n_groups, "count_distinct"
-            )
-        return np.bincount(group_ids[rows], minlength=n_groups).astype(np.int64)
+            return grouped_aggregate(values, group_ids, n_groups, "count_distinct")
+        return np.bincount(group_ids, minlength=n_groups).astype(np.int64)
     func = AGGREGATE_FUNCTIONS[aggregate.func]
     return grouped_aggregate(values, group_ids, n_groups, func)
 
@@ -1316,7 +1344,7 @@ def _in_list(value: Any, items: list[Any], negated: bool) -> np.ndarray:
 def _is_null(value: Any, length: int) -> np.ndarray:
     if isinstance(value, np.ndarray):
         if value.dtype == object:
-            return np.asarray([v is None for v in value], dtype=bool)
+            return _none_mask(value)
         if np.issubdtype(value.dtype, np.floating):
             return np.isnan(value)
         return np.zeros(value.shape[0], dtype=bool)
@@ -1325,6 +1353,11 @@ def _is_null(value: Any, length: int) -> np.ndarray:
     if isinstance(value, float) and np.isnan(value):
         return np.ones(length, dtype=bool)
     return np.zeros(length, dtype=bool)
+
+
+def _none_mask(values: np.ndarray) -> np.ndarray:
+    """Which entries of an object array are ``None`` (a per-row loop)."""
+    return np.asarray([v is None for v in values], dtype=bool)
 
 
 def _apply_case(expr: Case, evaluate: Any, length: int) -> np.ndarray:
@@ -1409,33 +1442,6 @@ def _all_str_or_none(array: np.ndarray) -> bool:
     return all(v is None or isinstance(v, str) for v in array)
 
 
-def _factorize(key_arrays: list[np.ndarray]) -> tuple[np.ndarray, int]:
-    if len(key_arrays) == 1 and key_arrays[0].dtype != object:
-        values = key_arrays[0]
-        _, inverse = np.unique(values, return_inverse=True)
-        return _renumber(inverse.astype(np.int64), values)
-    combos = list(zip(*[a.tolist() for a in key_arrays]))
-    mapping: dict[Any, int] = {}
-    ids = np.empty(len(combos), dtype=np.int64)
-    for i, combo in enumerate(combos):
-        gid = mapping.get(combo)
-        if gid is None:
-            gid = len(mapping)
-            mapping[combo] = gid
-        ids[i] = gid
-    return ids, len(mapping)
-
-
-def _renumber(ids: np.ndarray, _values: np.ndarray) -> tuple[np.ndarray, int]:
-    n_groups = int(ids.max()) + 1 if ids.size else 0
-    first = np.full(n_groups, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(first, ids, np.arange(ids.shape[0], dtype=np.int64))
-    order = np.argsort(first, kind="stable")
-    remap = np.empty(n_groups, dtype=np.int64)
-    remap[order] = np.arange(n_groups, dtype=np.int64)
-    return remap[ids], n_groups
-
-
 def _merge_partials(
     func: str,
     values: np.ndarray | None,
@@ -1496,17 +1502,6 @@ def _merge_partials(
     raise SqlExecutionError(  # pragma: no cover - guarded by _parallel_eligible
         f"aggregate {func!r} has no mergeable partial"
     )
-
-
-def _first_per_group(
-    values: np.ndarray, group_ids: np.ndarray, n_groups: int
-) -> np.ndarray:
-    first = np.full(n_groups, -1, dtype=np.int64)
-    for i in range(group_ids.shape[0] - 1, -1, -1):
-        first[group_ids[i]] = i
-    if n_groups and first.min() < 0:
-        raise SqlExecutionError("internal error: empty group")
-    return values[first]
 
 
 def _resolve_group_keys(query_plan: QueryPlan, scope: "_Scope") -> tuple[Expr, ...]:

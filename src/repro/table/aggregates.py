@@ -1,7 +1,9 @@
 """Aggregate functions over arrays, whole-column and grouped.
 
-Two entry points:
+Three entry points:
 
+* :func:`factorize` — number the rows' key combinations by first
+  appearance (the group ids every grouped operator uses).
 * :func:`aggregate_array` — reduce one array to a scalar.
 * :func:`grouped_aggregate` — reduce one array per group, given a group-id
   vector, using vectorized numpy segment operations (no Python loop over
@@ -10,7 +12,7 @@ Two entry points:
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -31,6 +33,74 @@ AGGREGATE_NAMES = (
     "first",
     "last",
 )
+
+
+#: Integer arrays whose values lie in ``[0, max(rows, this))`` count as
+#: dense codes: kernels index an array of that length instead of sorting.
+_DENSE_FLOOR = 1 << 16
+
+
+def factorize(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, int, np.ndarray]:
+    """Group ids for the rows of ``keys`` (equal-length key columns).
+
+    Returns ``(group_ids, n_groups, first_rows)``: groups are numbered in
+    order of first appearance and ``first_rows[g]`` is group ``g``'s first
+    row, so ``first_rows`` is ascending.  One key of dense non-negative
+    integers (dictionary codes) is numbered with ``np.minimum.at``, other
+    numeric keys through ``np.unique`` (NaNs form one group), and string
+    or multi-column keys through a dict over their Python values.
+    """
+    n_rows = len(keys[0])
+    if n_rows == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, 0, empty
+    if len(keys) == 1 and keys[0].dtype != object:
+        codes = keys[0]
+        span = _dense_span(codes, n_rows)
+        if span is None:
+            distinct, codes = np.unique(codes, return_inverse=True)
+            span = len(distinct)
+        return _by_first_appearance(codes, span)
+    ids, n_groups = _factorize_dict(keys)
+    return _by_first_appearance(ids, n_groups)
+
+
+def _dense_span(values: np.ndarray, budget: int) -> int | None:
+    """``max + 1`` of non-negative integer ``values`` if it is within
+    ``max(budget, _DENSE_FLOOR)``; None for anything else."""
+    if not np.issubdtype(values.dtype, np.integer) or values.size == 0:
+        return None
+    if values.min() < 0:
+        return None
+    span = int(values.max()) + 1
+    return span if span <= max(budget, _DENSE_FLOOR) else None
+
+
+def _by_first_appearance(codes: np.ndarray, span: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """Renumber codes in ``[0, span)`` by first appearance."""
+    n_rows = codes.shape[0]
+    first = np.full(span, n_rows, dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(n_rows, dtype=np.int64))
+    present = np.flatnonzero(first < n_rows)
+    order = np.argsort(first[present])
+    remap = np.empty(span, dtype=np.int64)
+    remap[present[order]] = np.arange(present.size, dtype=np.int64)
+    return remap[codes], int(present.size), first[present[order]]
+
+
+def _factorize_dict(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
+    """First-appearance ids of string or multi-column keys, through a dict."""
+    if len(keys) == 1:
+        items = keys[0].tolist()
+    else:
+        items = list(zip(*(key.tolist() for key in keys)))
+    mapping: dict[Any, int] = {}
+    ids = np.fromiter(
+        (mapping.setdefault(item, len(mapping)) for item in items),
+        dtype=np.int64,
+        count=len(items),
+    )
+    return ids, len(mapping)
 
 
 def aggregate_array(values: np.ndarray, func: str) -> Any:
@@ -85,11 +155,11 @@ def grouped_aggregate(
     func = _canonical(func)
     if values.shape[0] != group_ids.shape[0]:
         raise TableError("values and group_ids must have equal length")
+    if func == "count_distinct":
+        return _grouped_count_distinct(values, group_ids, n_groups)
     counts = np.bincount(group_ids, minlength=n_groups)
     if func == "count":
         return counts.astype(np.int64)
-    if func == "count_distinct":
-        return _grouped_count_distinct(values, group_ids, n_groups)
     if values.dtype == object or func in ("median", "first", "last", "min", "max"):
         return _grouped_via_sort(values, group_ids, n_groups, func, counts)
     floats = values.astype(np.float64)
@@ -128,26 +198,33 @@ def _scalar(value: Any) -> Any:
 def _grouped_count_distinct(
     values: np.ndarray, group_ids: np.ndarray, n_groups: int
 ) -> np.ndarray:
+    """Distinct values per group, counted over ``(group, code)`` pairs.
+
+    Dense non-negative integers (dictionary codes) are their own codes;
+    other values are coded first.  When every possible pair fits in an
+    array of O(rows), a ``bincount`` marks the pairs that occur; otherwise
+    the pairs are deduplicated with ``np.unique``.
+    """
+    n_rows = values.shape[0]
+    if n_rows == 0:
+        return np.zeros(n_groups, dtype=np.int64)
     if values.dtype == object:
-        codes = _factorize_objects(values)
+        codes, span = _factorize_dict([values])
     else:
-        _, codes = np.unique(values, return_inverse=True)
-    pairs = group_ids.astype(np.int64) * (int(codes.max()) + 1 if codes.size else 1) + codes
-    unique_pairs = np.unique(pairs)
-    owners = unique_pairs // (int(codes.max()) + 1 if codes.size else 1)
+        codes, span = values, _dense_span(values, n_rows)
+        if span is None:
+            distinct, codes = np.unique(values, return_inverse=True)
+            span = len(distinct)
+    if n_groups == 1:
+        pairs = codes
+    else:
+        pairs = np.multiply(group_ids, span, dtype=np.int64)
+        pairs += codes
+    if n_groups * span <= max(n_rows, _DENSE_FLOOR):
+        seen = np.bincount(pairs, minlength=n_groups * span) > 0
+        return seen.reshape(n_groups, span).sum(axis=1).astype(np.int64)
+    owners = np.unique(pairs) // span
     return np.bincount(owners, minlength=n_groups).astype(np.int64)
-
-
-def _factorize_objects(values: np.ndarray) -> np.ndarray:
-    mapping: dict[Any, int] = {}
-    codes = np.empty(values.shape[0], dtype=np.int64)
-    for i, item in enumerate(values):
-        code = mapping.get(item)
-        if code is None:
-            code = len(mapping)
-            mapping[item] = code
-        codes[i] = code
-    return codes
 
 
 def _grouped_via_sort(

@@ -3,6 +3,13 @@
 A column is a 1-D numpy array plus a *kind* — one of ``"int"``, ``"float"``,
 ``"bool"`` or ``"str"``.  Strings are stored in object arrays (numpy's
 fixed-width unicode arrays would silently truncate miner tags).
+
+A ``str`` column may also be *dictionary-encoded* (:meth:`Column.from_codes`):
+non-negative integer ``codes`` indexing an array of unique ``categories``.
+It keeps its decoded ``values`` too, so every reader of ``values`` works
+unchanged; operators that know the encoding (grouping, COUNT DISTINCT,
+statistics) read the codes instead.  A column built from values is never
+encoded.
 """
 
 from __future__ import annotations
@@ -85,14 +92,51 @@ def coerce_values(values: Any, kind: str | None = None) -> tuple[np.ndarray, str
 
 
 class Column:
-    """An immutable named-kind column: a 1-D numpy array plus a kind tag."""
+    """An immutable named-kind column: a 1-D numpy array plus a kind tag.
 
-    __slots__ = ("values", "kind")
+    ``codes`` and ``categories`` are None unless the column is
+    dictionary-encoded, in which case ``values == categories[codes]``.
+    """
+
+    __slots__ = ("values", "kind", "codes", "categories")
 
     def __init__(self, values: Any, kind: str | None = None) -> None:
         array, resolved = coerce_values(values, kind)
         self.values = array
         self.kind = resolved
+        self.codes: np.ndarray | None = None
+        self.categories: np.ndarray | None = None
+
+    @classmethod
+    def from_codes(cls, codes: Any, categories: Any) -> "Column":
+        """A dictionary-encoded ``str`` column whose values are ``categories[codes]``.
+
+        ``categories`` must be unique strings (unused ones are allowed) and
+        every code must satisfy ``0 <= code < len(categories)``.  ``codes``
+        is kept without a copy when it already is an int64 array.
+        """
+        codes = np.asarray(codes, dtype=np.int64)
+        if codes.ndim != 1:
+            raise TableError(f"codes must be 1-dimensional, got shape {codes.shape}")
+        cats = np.empty(len(categories), dtype=object)
+        cats[:] = list(categories)
+        if not all(isinstance(c, str) for c in cats):
+            raise SchemaError("categories must be strings")
+        if len(set(cats.tolist())) != len(cats):
+            raise SchemaError("categories must be unique")
+        if codes.size and (codes.min() < 0 or codes.max() >= len(cats)):
+            raise SchemaError(f"codes must lie in [0, {len(cats)})")
+        return cls._encoded(codes, cats, cats[codes])
+
+    @classmethod
+    def _encoded(cls, codes: np.ndarray, categories: np.ndarray, values: np.ndarray) -> "Column":
+        """An encoded column from parts already known to agree (no checks)."""
+        column = cls.__new__(cls)
+        column.values = values
+        column.kind = "str"
+        column.codes = codes
+        column.categories = categories
+        return column
 
     def __len__(self) -> int:
         return int(self.values.shape[0])
@@ -116,8 +160,13 @@ class Column:
         suffix = ", ..." if len(self) > 5 else ""
         return f"Column(kind={self.kind!r}, n={len(self)}, [{preview}{suffix}])"
 
-    def take(self, indices: np.ndarray) -> "Column":
-        """Return a new column with rows picked by ``indices``."""
+    def take(self, indices: np.ndarray | slice) -> "Column":
+        """Return a new column with rows picked by ``indices`` (or a slice).
+
+        An encoded column stays encoded over the same categories.
+        """
+        if self.codes is not None:
+            return Column._encoded(self.codes[indices], self.categories, self.values[indices])
         return Column(self.values[indices], self.kind)
 
     def to_list(self) -> list[Any]:

@@ -47,6 +47,14 @@ class ColumnStatistics:
     min_value: float | None = None
     max_value: float | None = None
     most_common: tuple[tuple[Any, int], ...] = field(default_factory=tuple)
+    #: ``most_common`` as a value -> count map, built once with the snapshot.
+    _mcv_counts: dict[Any, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        counts: dict[Any, int] = {}
+        for value, count in self.most_common:
+            counts.setdefault(value, count)
+        object.__setattr__(self, "_mcv_counts", counts)
 
     @property
     def null_fraction(self) -> float:
@@ -58,15 +66,27 @@ class ColumnStatistics:
         """Rows covered by the recorded most-common values."""
         return sum(count for _, count in self.most_common)
 
+    def mcv_count(self, value: Any) -> int | None:
+        """Rows holding ``value`` if it is a most-common value, else None.
+
+        One dict lookup with SQL ``=`` semantics across numeric scalars
+        (``1``, ``1.0`` and ``TRUE`` are one value; a string equals no
+        number).  NULL and NaN are never most-common values.
+        """
+        try:
+            return self._mcv_counts.get(value)
+        except TypeError:  # unhashable: equal to no recorded scalar
+            return None
+
     def eq_selectivity(self, value: Any) -> float:
         """Estimated fraction of rows where ``column = value``."""
         if self.n_rows == 0 or value is None:
             return 0.0
         if isinstance(value, float) and np.isnan(value):
             return 0.0
-        for mcv, count in self.most_common:
-            if _same_value(mcv, value):
-                return _clamp(count / self.n_rows)
+        count = self.mcv_count(value)
+        if count is not None:
+            return _clamp(count / self.n_rows)
         if self.kind in ("int", "float") and self.min_value is not None:
             if not isinstance(value, (bool, str)) and (
                 value < self.min_value or value > self.max_value
@@ -135,6 +155,8 @@ def _column_statistics(table: Table, name: str, most_common: int) -> ColumnStati
     n_rows = len(column)
     if n_rows == 0:
         return ColumnStatistics(name=name, kind=column.kind, n_rows=0, n_null=0, n_distinct=0)
+    if column.codes is not None:
+        return _encoded_statistics(name, column.codes, column.categories, most_common)
     if column.kind == "str":
         return _object_statistics(name, column.kind, values, most_common)
     if column.kind == "float":
@@ -188,6 +210,23 @@ def _object_statistics(
     )
 
 
+def _encoded_statistics(
+    name: str, codes: np.ndarray, categories: np.ndarray, most_common: int
+) -> ColumnStatistics:
+    """:func:`_object_statistics` of ``categories[codes]``, counted on the codes."""
+    counts = np.bincount(codes, minlength=len(categories)).tolist()
+    present = [code for code, count in enumerate(counts) if count]
+    ranked = sorted(present, key=lambda code: (-counts[code], categories[code]))
+    return ColumnStatistics(
+        name=name,
+        kind="str",
+        n_rows=len(codes),
+        n_null=0,
+        n_distinct=len(present),
+        most_common=tuple((categories[c], counts[c]) for c in ranked[:most_common]),
+    )
+
+
 def _top_values(
     distinct: np.ndarray, counts: np.ndarray, most_common: int
 ) -> tuple[tuple[Any, int], ...]:
@@ -198,16 +237,6 @@ def _top_values(
     """
     order = np.argsort(-counts, kind="stable")[:most_common]
     return tuple((distinct[i].item(), int(counts[i])) for i in order)
-
-
-def _same_value(a: Any, b: Any) -> bool:
-    """Equality matching SQL ``=`` semantics across int/float/bool scalars."""
-    if isinstance(a, str) or isinstance(b, str):
-        return a == b
-    try:
-        return bool(a == b)
-    except TypeError:
-        return False
 
 
 def _clamp(value: float) -> float:

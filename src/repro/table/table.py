@@ -13,7 +13,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.errors import SchemaError, TableError
-from repro.table.aggregates import aggregate_array, grouped_aggregate
+from repro.table.aggregates import aggregate_array, factorize, grouped_aggregate
 from repro.table.column import Column
 from repro.table.schema import Schema
 
@@ -198,12 +198,7 @@ class Table:
     def slice(self, start: int, stop: int | None = None) -> "Table":
         """Return rows ``[start, stop)`` (numpy slicing semantics)."""
         sl = slice(start, stop)
-        return Table(
-            {
-                name: Column(self._columns[name].values[sl], self._columns[name].kind)
-                for name in self._names
-            }
-        )
+        return Table({name: self._columns[name].take(sl) for name in self._names})
 
     def head(self, n: int = 10) -> "Table":
         """Return the first ``n`` rows."""
@@ -253,12 +248,8 @@ class Table:
         key_names = list(self._names) if keys is None else (
             [keys] if isinstance(keys, str) else list(keys)
         )
-        ids, n_groups = _group_ids(self, key_names)
-        first = np.full(n_groups, -1, dtype=np.int64)
-        for i, gid in enumerate(ids):
-            if first[gid] < 0:
-                first[gid] = i
-        return self.take(np.sort(first))
+        _, _, first_rows = _group_ids(self, key_names)
+        return self.take(first_rows)
 
     def value_counts(self, key: str) -> "Table":
         """Return ``key`` values with their row counts, most frequent first."""
@@ -418,12 +409,8 @@ class GroupBy:
         if not specs:
             raise TableError("aggregate requires at least one output column")
         table = self._table
-        ids, n_groups = _group_ids(table, self._keys)
-        first_rows = _first_occurrences(ids, n_groups)
-        data: dict[str, Column] = {}
-        for key in self._keys:
-            column = table.column(key)
-            data[key] = Column(column.values[first_rows], column.kind)
+        ids, n_groups, first_rows = _group_ids(table, self._keys)
+        data = {key: table.column(key).take(first_rows) for key in self._keys}
         for out_name, (in_name, func) in specs.items():
             values = table.column(in_name).values
             result = grouped_aggregate(values, ids, n_groups, func)
@@ -437,15 +424,11 @@ class GroupBy:
         general — used for metric computations over grouped block data.
         """
         table = self._table
-        ids, n_groups = _group_ids(table, self._keys)
-        first_rows = _first_occurrences(ids, n_groups)
+        ids, n_groups, first_rows = _group_ids(table, self._keys)
         order = np.argsort(ids, kind="stable")
         sorted_ids = ids[order]
         boundaries = np.searchsorted(sorted_ids, np.arange(n_groups + 1))
-        data: dict[str, Column] = {}
-        for key in self._keys:
-            column = table.column(key)
-            data[key] = Column(column.values[first_rows], column.kind)
+        data = {key: table.column(key).take(first_rows) for key in self._keys}
         results = []
         for gid in range(n_groups):
             rows = order[boundaries[gid] : boundaries[gid + 1]]
@@ -468,46 +451,10 @@ def _dense_codes(values: np.ndarray) -> np.ndarray:
     return inverse.astype(np.int64)
 
 
-def _group_ids(table: Table, keys: list[str]) -> tuple[np.ndarray, int]:
-    """Map each row to a dense group id; groups are numbered by first occurrence."""
+def _group_ids(table: Table, keys: list[str]) -> tuple[np.ndarray, int, np.ndarray]:
+    """:func:`~repro.table.aggregates.factorize` over key columns (codes when encoded)."""
     if table.num_rows == 0:
-        return np.empty(0, dtype=np.int64), 0
-    if len(keys) == 1:
-        values = table.column(keys[0]).values
-        if values.dtype == object:
-            return _factorize_by_first(values.tolist())
-        _, inverse = np.unique(values, return_inverse=True)
-        return _renumber_by_first(inverse.astype(np.int64))
-    columns = [table.column(k).to_list() for k in keys]
-    combos = list(zip(*columns))
-    return _factorize_by_first(combos)
-
-
-def _factorize_by_first(items: Sequence[Any]) -> tuple[np.ndarray, int]:
-    mapping: dict[Any, int] = {}
-    ids = np.empty(len(items), dtype=np.int64)
-    for i, item in enumerate(items):
-        gid = mapping.get(item)
-        if gid is None:
-            gid = len(mapping)
-            mapping[item] = gid
-        ids[i] = gid
-    return ids, len(mapping)
-
-
-def _renumber_by_first(ids: np.ndarray) -> tuple[np.ndarray, int]:
-    """Renumber dense ids so that group numbers follow first appearance."""
-    n_groups = int(ids.max()) + 1 if ids.size else 0
-    first = np.full(n_groups, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(first, ids, np.arange(ids.shape[0], dtype=np.int64))
-    order = np.argsort(first, kind="stable")
-    remap = np.empty(n_groups, dtype=np.int64)
-    remap[order] = np.arange(n_groups, dtype=np.int64)
-    return remap[ids], n_groups
-
-
-def _first_occurrences(ids: np.ndarray, n_groups: int) -> np.ndarray:
-    first = np.full(n_groups, -1, dtype=np.int64)
-    for i in range(ids.shape[0] - 1, -1, -1):
-        first[ids[i]] = i
-    return first
+        empty = np.empty(0, dtype=np.int64)
+        return empty, 0, empty
+    columns = [table.column(key) for key in keys]
+    return factorize([c.values if c.codes is None else c.codes for c in columns])

@@ -170,3 +170,53 @@ class TestExport:
         table = tiny_chain.block_table()
         assert table.num_rows == 9
         assert table["primary_producer"].tolist()[5] == "a"
+
+
+def decoded_row_by_row(chain: Chain) -> tuple[list[str], list[str]]:
+    """``producer`` and ``primary_producer`` decoded one id at a time."""
+    names = chain.producer_names
+    credits = [names[pid] for pid in chain.producer_ids.tolist()]
+    primary = [names[chain.producer_ids[start]] for start in chain.offsets[:-1].tolist()]
+    return credits, primary
+
+
+class TestEncodedExport:
+    @pytest.fixture(scope="class")
+    def seed_one_chains(self) -> dict[str, Chain]:
+        from repro.simulation.scenarios import simulate_bitcoin_2019, simulate_ethereum_2019
+
+        return {
+            "btc": simulate_bitcoin_2019(seed=1),
+            "eth": simulate_ethereum_2019(seed=1).slice_blocks(0, 200_000),
+        }
+
+    def assert_tables_decode(self, chain: Chain) -> None:
+        credits, primary = decoded_row_by_row(chain)
+        producer = chain.to_table().column("producer")
+        primary_producer = chain.block_table().column("primary_producer")
+        assert producer.codes is not None and primary_producer.codes is not None
+        assert producer.to_list() == credits
+        assert primary_producer.to_list() == primary
+
+    def test_tiny_chain_tables_equal_the_row_by_row_decode(self, tiny_chain):
+        self.assert_tables_decode(tiny_chain)
+
+    @pytest.mark.parametrize("key", ["btc", "eth"])
+    def test_seed_one_tables_equal_the_row_by_row_decode(self, seed_one_chains, key):
+        self.assert_tables_decode(seed_one_chains[key])
+
+    def test_single_producer_tables_share_producer_ids(self, seed_one_chains):
+        chain = seed_one_chains["eth"]
+        assert chain.n_credits == chain.n_blocks
+        tables = ((chain.to_table(), "producer"), (chain.block_table(), "primary_producer"))
+        for table, name in tables:
+            assert np.shares_memory(table.column(name).codes, chain.producer_ids)
+
+    def test_repeated_producer_names_give_a_plain_column(self):
+        chain = make_tiny_chain([["a"], ["b"]])
+        chain = Chain(
+            chain.spec, chain.heights, chain.timestamps, chain.offsets,
+            chain.producer_ids, ["same", "same"],
+        )
+        column = chain.to_table().column("producer")
+        assert column.codes is None and column.to_list() == ["same", "same"]

@@ -250,16 +250,18 @@ class TestOneTree:
     """EXPLAIN renders the tree execution runs; each SELECT is planned once."""
 
     @pytest.mark.parametrize(
-        "name",
-        sorted(n for n, (kind, sql) in CASES.items() if kind != "off" and "UNION" not in sql),
+        "name", sorted(n for n, (kind, sql) in CASES.items() if kind != "off")
     )
     def test_explain_shows_what_runs(self, name):
         kind, sql = CASES[name]
         engine = make_engine(kind)
         _, root = engine.explain_analyze(sql)
-        (execute,) = [c for c in root.children if c.op == "Execute"]
-        shown = engine.explain(sql).split("-- physical plan (estimated rows) --\n")[1]
-        assert format_plan(planned(execute), include_time=False) == shown
+        (ran,) = [c for c in root.children if c.op in ("Execute", "UnionAll")]
+        # A UNION ALL runs one tree per member, each under its ``Member`` node.
+        trees = ran.children if ran.op == "UnionAll" else [ran]
+        parts = engine.explain(sql).split("-- physical plan (estimated rows) --\n")[1:]
+        shown = [part.split("\n-- member ")[0] for part in parts]
+        assert shown == [format_plan(planned(tree), include_time=False) for tree in trees]
 
     def test_each_select_is_planned_and_optimized_once(self, monkeypatch):
         calls = {"plan": 0, "optimize": 0}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TableError
-from repro.table.aggregates import aggregate_array, grouped_aggregate
+from repro.table.aggregates import aggregate_array, factorize, grouped_aggregate
 
 
 class TestAggregateArray:
@@ -143,3 +143,54 @@ class TestGroupedAggregate:
         values = np.asarray(["a"], dtype=object)
         with pytest.raises(TableError):
             grouped_aggregate(values, np.asarray([0]), 1, "median")
+
+
+class TestFactorize:
+    """Group ids by first appearance, the group count and each group's first row."""
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [np.asarray([3, 1, 3, 0, 1], dtype=np.int64)],  # dense codes
+            [np.asarray([30, -1, 30, 7, -1], dtype=np.int64)],  # np.unique
+            [np.asarray(["c", "b", "c", "a", "b"], dtype=object)],  # dict
+            [np.asarray([1, 2, 1, 3, 2]), np.asarray(["x", "y", "x", "x", "y"], dtype=object)],
+        ],
+        ids=["codes", "sparse-ints", "strings", "multi-column"],
+    )
+    def test_first_appearance_numbering(self, keys):
+        ids, n_groups, first_rows = factorize(keys)
+        assert ids.tolist() == [0, 1, 0, 2, 1]
+        assert n_groups == 3
+        assert first_rows.tolist() == [0, 1, 3]
+
+    def test_nan_keys_form_one_group(self):
+        ids, n_groups, _ = factorize([np.asarray([np.nan, 1.0, np.nan])])
+        assert ids.tolist() == [0, 1, 0] and n_groups == 2
+
+    def test_empty(self):
+        ids, n_groups, first_rows = factorize([np.empty(0, dtype=np.int64)])
+        assert ids.size == 0 and n_groups == 0 and first_rows.size == 0
+
+    def test_large_range_codes_take_the_unique_path(self):
+        ids, n_groups, first_rows = factorize([np.asarray([10**12, 5, 10**12])])
+        assert ids.tolist() == [0, 1, 0] and first_rows.tolist() == [0, 1]
+
+
+class TestGroupedCountDistinctPaths:
+    def test_dense_codes_use_pair_bincount(self):
+        values = np.asarray([0, 0, 2, 1, 2, 2], dtype=np.int64)
+        ids = np.asarray([0, 1, 0, 1, 1, 1])
+        assert grouped_aggregate(values, ids, 3, "count_distinct").tolist() == [2, 3, 0]
+
+    def test_sparse_values_are_coded_first(self):
+        values = np.asarray([10**12, -4, 10**12, 7])
+        ids = np.asarray([0, 0, 1, 1])
+        assert grouped_aggregate(values, ids, 2, "count_distinct").tolist() == [2, 2]
+
+    def test_many_groups_deduplicate_pairs_with_unique(self):
+        # 70,000 groups x 2 codes is past the O(rows) pair-array budget.
+        values = np.asarray([0, 1, 1, 0], dtype=np.int64)
+        ids = np.asarray([0, 69_999, 69_999, 69_999])
+        counts = grouped_aggregate(values, ids, 70_000, "count_distinct")
+        assert counts[0] == 1 and counts[69_999] == 2 and counts.sum() == 3

@@ -120,3 +120,55 @@ class TestCast:
     def test_unknown_kind_raises(self):
         with pytest.raises(SchemaError):
             Column([1]).cast("complex")
+
+
+class TestDictionaryEncoding:
+    def test_values_are_categories_taken_by_codes(self):
+        column = Column.from_codes([2, 0, 2, 1], ["b", "a", "c"])
+        assert column.kind == "str"
+        assert column.to_list() == ["c", "b", "c", "a"]
+        assert column.values.dtype == object
+        assert column.codes.tolist() == [2, 0, 2, 1]
+        assert column.categories.tolist() == ["b", "a", "c"]
+
+    def test_int64_codes_are_kept_without_a_copy(self):
+        codes = np.asarray([0, 1, 0], dtype=np.int64)
+        assert Column.from_codes(codes, ["x", "y"]).codes is codes
+
+    def test_equals_the_plain_column_of_its_values(self):
+        assert Column.from_codes([1, 0], ["p", "q"]) == Column(["q", "p"])
+
+    def test_empty_codes(self):
+        column = Column.from_codes(np.empty(0, dtype=np.int64), ["a"])
+        assert len(column) == 0 and column.codes is not None
+
+    @pytest.mark.parametrize("codes", [[0, 3], [-1, 0]])
+    def test_codes_out_of_range_rejected(self, codes):
+        with pytest.raises(SchemaError, match="codes"):
+            Column.from_codes(codes, ["a", "b", "c"])
+
+    def test_duplicate_categories_rejected(self):
+        with pytest.raises(SchemaError, match="unique"):
+            Column.from_codes([0], ["a", "a"])
+
+    def test_non_string_categories_rejected(self):
+        with pytest.raises(SchemaError, match="strings"):
+            Column.from_codes([0], ["a", None])
+
+    def test_2d_codes_rejected(self):
+        with pytest.raises(TableError):
+            Column.from_codes(np.zeros((2, 2), dtype=np.int64), ["a"])
+
+    def test_take_and_slice_keep_the_codes(self):
+        column = Column.from_codes([0, 1, 2, 1], ["a", "b", "c"])
+        taken = column.take(np.asarray([3, 0]))
+        assert taken.codes.tolist() == [1, 0] and taken.to_list() == ["b", "a"]
+        assert taken.categories is column.categories
+        sliced = column.take(slice(1, 3))
+        assert sliced.codes.tolist() == [1, 2] and sliced.to_list() == ["b", "c"]
+
+    def test_building_from_values_never_encodes(self):
+        encoded = Column.from_codes([0, 1], ["a", "b"])
+        assert Column(["a", "b"]).codes is None
+        assert Column(encoded).codes is None
+        assert Column(encoded.values, "str").codes is None

@@ -1,9 +1,13 @@
 """Tests for ANALYZE-style table statistics collection."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.table import Table, collect_statistics
+from repro.table import Column, Table, collect_statistics
 from repro.table.stats import (
     DEFAULT_EQ_SELECTIVITY,
     DEFAULT_RANGE_SELECTIVITY,
@@ -97,6 +101,84 @@ class TestEqSelectivity:
     def test_empty_column_is_zero(self):
         column = collect_statistics(Table({"x": []})).column("x")
         assert column.eq_selectivity(1) == 0.0
+
+    def test_numeric_probes_match_across_int_float_bool(self):
+        column = collect_statistics(Table({"x": [1, 1, 1, 2, 3]})).column("x")
+        for probe in (1, 1.0, True, np.int64(1), np.float64(1.0)):
+            assert column.mcv_count(probe) == 3
+        assert column.mcv_count("1") is None
+        assert column.mcv_count([1]) is None  # unhashable: no match
+
+
+def linear_mcv_count(most_common, value):
+    """The per-probe MCV scan the lookup replaced: first ``=`` match wins."""
+    if value is None or (isinstance(value, float) and math.isnan(value)):
+        return None
+    for mcv, count in most_common:
+        if isinstance(mcv, str) or isinstance(value, str):
+            same = mcv == value
+        else:
+            try:
+                same = bool(mcv == value)
+            except TypeError:
+                same = False
+        if same:
+            return count
+    return None
+
+
+#: MCV lists as each column kind records them: distinct values, no NaN.
+MCV_VALUES = {
+    "int": st.integers(min_value=-3, max_value=3),
+    "float": st.floats(min_value=-3, max_value=3, allow_nan=False),
+    "bool": st.booleans(),
+    "str": st.sampled_from(["", "a", "b", "1", "True", "nan"]),
+}
+PROBES = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1, 1.0, True, 0, 0.0, -0.0, False, float("nan")]),
+    st.booleans(),
+    st.sampled_from(["", "a", "b", "1", "True", "nan"]),
+    st.none(),
+)
+
+
+class TestMcvLookupProperties:
+    @given(
+        st.sampled_from(sorted(MCV_VALUES)).flatmap(
+            lambda kind: st.tuples(
+                st.just(kind),
+                st.lists(MCV_VALUES[kind], unique=True, max_size=6),
+            )
+        ),
+        st.lists(st.integers(min_value=1, max_value=50), min_size=6, max_size=6),
+        PROBES,
+    )
+    @settings(max_examples=300)
+    def test_lookup_equals_the_linear_scan(self, kind_values, counts, probe):
+        kind, values = kind_values
+        most_common = tuple(zip(values, counts))
+        stats = ColumnStatistics(
+            name="x", kind=kind, n_rows=400, n_null=0,
+            n_distinct=len(values), most_common=most_common,
+        )
+        assert stats.mcv_count(probe) == linear_mcv_count(most_common, probe)
+
+
+class TestEncodedStatistics:
+    def test_counts_only_categories_that_occur(self):
+        column = Column.from_codes([2, 2, 0, 2, 0, 3], ["b", "unused", "a", "c"])
+        encoded = collect_statistics(Table({"x": column})).column("x")
+        plain = collect_statistics(Table({"x": column.values})).column("x")
+        assert encoded == plain
+        assert encoded.n_distinct == 3
+        assert encoded.most_common == (("a", 3), ("b", 2), ("c", 1))
+
+    def test_mcv_ties_order_by_value(self):
+        column = Column.from_codes([0, 1, 2, 0, 1, 2], ["z", "m", "a"])
+        stats = collect_statistics(Table({"x": column})).column("x")
+        assert [value for value, _ in stats.most_common] == ["a", "m", "z"]
 
 
 class TestRangeSelectivity:
