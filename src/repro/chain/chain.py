@@ -247,11 +247,16 @@ class Chain:
         Columns: ``height`` (int), ``timestamp`` (int), ``producer`` (str,
         dictionary-encoded: its codes are ``producer_ids`` itself, not a
         copy), ``n_producers`` (int, the block's total producer count).
+        When every block has exactly one producer, ``height`` and
+        ``timestamp`` are the chain's own arrays, not copies.
         """
         counts = self.producer_counts()
-        heights = np.repeat(self.heights, counts)
-        timestamps = np.repeat(self.timestamps, counts)
-        n_producers = np.repeat(counts, counts)
+        if self.n_credits == self.n_blocks:  # each block has >= 1 producer
+            heights, timestamps, n_producers = self.heights, self.timestamps, counts
+        else:
+            heights = np.repeat(self.heights, counts)
+            timestamps = np.repeat(self.timestamps, counts)
+            n_producers = np.repeat(counts, counts)
         return Table(
             {
                 "height": heights,

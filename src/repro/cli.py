@@ -323,8 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     monitor.add_argument(
         "--alert-below", action="append", default=[], metavar="METRIC=VALUE",
         help="alert when METRIC drops below VALUE (repeatable; also "
-        "accepts the progress metrics lag_blocks/blocks_ingested, which "
-        "alert through the stateful engine only)",
+        "accepts the progress metrics lag_blocks/blocks_ingested)",
     )
     monitor.add_argument(
         "--alert-above", action="append", default=[], metavar="METRIC=VALUE",
@@ -1014,9 +1013,8 @@ def _block_feed(chain, limit: int | None) -> Iterator[list[str]]:
 
 
 def _cmd_monitor(study: DecentralizationStudy, args: argparse.Namespace) -> int:
-    from repro.core.streaming import ThresholdRule
     from repro.errors import ValidationError
-    from repro.obs.alerts import AlertRule, JSONLSink, WebhookSink
+    from repro.obs.alerts import JSONLSink, WebhookSink, anomaly_rule, rules_from_thresholds
     from repro.obs.slo import load_slo_file
     from repro.serve import run_monitor
 
@@ -1086,35 +1084,20 @@ def _cmd_monitor(study: DecentralizationStudy, args: argparse.Namespace) -> int:
     if below is None or above is None:
         return 2
     monitored = ("gini", "entropy", "nakamoto")
-    # Progress metrics exist only in the stateful engine's value map, not
-    # in the streaming monitor's window evaluations.
+    # Alert rules also see the ingest progress run_monitor adds to the
+    # window metrics.
     progress = ("lag_blocks", "blocks_ingested")
-    rules = []
-    extra_alert_rules = []
-    for metric, value in below:
-        if metric in monitored:
-            rules.append(ThresholdRule(metric, below=value))
-        elif metric in progress:
-            extra_alert_rules.append(
-                AlertRule(f"{metric}-below-{value:g}", metric=metric, below=value)
-            )
-        else:
-            print(f"error: unknown alert metric {metric!r}", file=sys.stderr)
-            return 2
-    for metric, value in above:
-        if metric in monitored:
-            rules.append(ThresholdRule(metric, above=value))
-        elif metric in progress:
-            extra_alert_rules.append(
-                AlertRule(f"{metric}-above-{value:g}", metric=metric, above=value)
-            )
-        else:
+    for metric, _ in (*below, *above):
+        if metric not in monitored + progress:
             print(f"error: unknown alert metric {metric!r}", file=sys.stderr)
             return 2
     for metric in args.anomaly:
         if metric not in monitored:
             print(f"error: unknown --anomaly metric {metric!r}", file=sys.stderr)
             return 2
+    alert_rules = rules_from_thresholds(below, above) + [
+        anomaly_rule(f"anomaly:{metric}", metric) for metric in args.anomaly
+    ]
     slos = []
     if args.slo:
         try:
@@ -1158,7 +1141,7 @@ def _cmd_monitor(study: DecentralizationStudy, args: argparse.Namespace) -> int:
             args.window,
             args.stride,
             chain=chain.spec.name,
-            rules=rules,
+            alert_rules=alert_rules,
             total_blocks=total,
             serve_port=args.serve,
             throttle=args.throttle,
@@ -1170,8 +1153,6 @@ def _cmd_monitor(study: DecentralizationStudy, args: argparse.Namespace) -> int:
             injector=injector,
             slos=slos,
             alert_sinks=alert_sinks,
-            anomaly_metrics=args.anomaly,
-            extra_alert_rules=extra_alert_rules,
             overload=overload,
             ingest_queue=args.ingest_queue,
             ingest_policy=args.ingest_policy,
@@ -1185,14 +1166,9 @@ def _cmd_monitor(study: DecentralizationStudy, args: argparse.Namespace) -> int:
     restarts = f", {result.restarts} restart(s)" if result.restarts else ""
     if result.ingest_dropped:
         restarts += f", {result.ingest_dropped} block(s) dropped by ingest queue"
-    lifecycle = (
-        f", {result.alerts_fired} fired/{result.alerts_resolved} resolved"
-        if result.alerts_fired or result.alerts_resolved
-        else ""
-    )
     print(
         f"monitored {result.blocks} blocks: {result.evaluations} evaluations, "
-        f"{result.alerts} alerts{lifecycle}{restarts}"
+        f"{result.alerts_fired} fired/{result.alerts_resolved} resolved{restarts}"
     )
     if latest:
         print(f"latest: {latest}")

@@ -19,16 +19,14 @@ from repro.core.comparison import (
 from repro.core.engine import MeasurementEngine
 from repro.core.rolling import RollingHistogram
 from repro.core.series import MeasurementSeries
-from repro.core.streaming import Alert, StreamingMonitor, ThresholdRule
+from repro.core.streaming import StreamingMonitor
 from repro.core.summary import SeriesSummary, summarize
 from repro.core.trend import detrend, linear_trend, rolling_mean, rolling_std
 
 __all__ = [
-    "Alert",
     "AnomalyReport",
     "ChangePoint",
     "StreamingMonitor",
-    "ThresholdRule",
     "ChangePointReport",
     "MeasurementEngine",
     "RollingHistogram",

@@ -4,21 +4,27 @@ The paper motivates sliding windows with timeliness: discovering abnormal
 changes as they happen, not at the end of a calendar interval.  This
 module is that deployment story: a :class:`StreamingMonitor` ingests
 blocks one at a time, maintains the trailing-N-blocks credit distribution
-incrementally (O(producers-per-block) per push), recomputes the metrics
-every ``stride`` blocks — the sliding step M — and fires alerts when a
-metric crosses a configured threshold.
+incrementally (O(producers-per-block) per push) and recomputes the metrics
+every ``stride`` blocks — the sliding step M.  It only measures:
+:meth:`StreamingMonitor.push` reports whether it completed a window
+evaluation, and an :class:`~repro.obs.alerts.AlertManager` turns the
+latest values into alerts.
 
->>> monitor = StreamingMonitor(window_size=144, stride=72)
->>> monitor.add_rule(ThresholdRule("nakamoto", below=4))       # doctest: +SKIP
->>> for block in feed:                                         # doctest: +SKIP
-...     for alert in monitor.push(block.producers):
-...         page_operator(alert)
+>>> from repro.obs.alerts import AlertManager, AlertRule
+>>> monitor = StreamingMonitor(window_size=4, stride=2, metrics=("nakamoto",))
+>>> manager = AlertManager()
+>>> manager.add_rule(AlertRule("nakamoto-below-2", metric="nakamoto", below=2))
+>>> feed = [["a"], ["b"], ["c"], ["d"]] + [["a"]] * 4 + [["b"], ["c"]]
+>>> for producers in feed:
+...     if monitor.push(producers):
+...         for event in manager.evaluate(monitor.latest()):
+...             print(monitor.blocks_seen, event.state, event.message)
+8 firing nakamoto=1.0000 (below 2)
+10 resolved nakamoto=2.0000 (below 2)
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro import obs
@@ -26,46 +32,9 @@ from repro.core.rolling import RollingHistogram
 from repro.errors import MeasurementError
 from repro.metrics.base import DistributionBatch, Metric, compute_batch, get_metric
 
-logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class ThresholdRule:
-    """Fire when a metric goes below ``below`` and/or above ``above``."""
-
-    metric: str
-    below: float | None = None
-    above: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.below is None and self.above is None:
-            raise MeasurementError("a rule needs at least one of below/above")
-
-    def triggered(self, value: float) -> bool:
-        """True if ``value`` crosses either configured bound."""
-        if self.below is not None and value < self.below:
-            return True
-        if self.above is not None and value > self.above:
-            return True
-        return False
-
-
-@dataclass(frozen=True)
-class Alert:
-    """One rule firing at one evaluation point."""
-
-    metric: str
-    value: float
-    #: Total blocks pushed when the alert fired.
-    block_count: int
-    rule: ThresholdRule
-
-    def __str__(self) -> str:
-        return f"block {self.block_count}: {self.metric}={self.value:.4f}"
-
 
 class StreamingMonitor:
-    """Incremental sliding-window measurement with threshold alerts."""
+    """Incremental sliding-window measurement over a block feed."""
 
     def __init__(
         self,
@@ -86,27 +55,15 @@ class StreamingMonitor:
             for metric in metrics
         ]
         self._window = RollingHistogram(capacity=window_size)
-        self._rules: list[ThresholdRule] = []
         self._block_count = 0
         self._history: dict[str, list[tuple[int, float]]] = {
             metric.name: [] for metric in self._metrics
         }
 
-    # -- configuration -------------------------------------------------------
-
-    def add_rule(self, rule: ThresholdRule) -> None:
-        """Register an alert rule; its metric must be monitored."""
-        if rule.metric not in self._history:
-            raise MeasurementError(
-                f"rule metric {rule.metric!r} is not monitored; "
-                f"monitored: {sorted(self._history)}"
-            )
-        self._rules.append(rule)
-
     # -- ingestion --------------------------------------------------------------
 
-    def push(self, producers: Sequence[str], fractional: bool = False) -> list[Alert]:
-        """Ingest one block; returns any alerts fired by this push.
+    def push(self, producers: Sequence[str], fractional: bool = False) -> bool:
+        """Ingest one block; True if it completed a window evaluation.
 
         ``producers`` are the block's payout addresses (usually one).
         With ``fractional`` each address gets ``1/k`` credit, otherwise
@@ -121,47 +78,21 @@ class StreamingMonitor:
             self._block_count < self.window_size
             or (self._block_count - self.window_size) % self.stride != 0
         ):
-            return []
-        return self._evaluate()
+            return False
+        self._evaluate()
+        return True
 
-    def push_many(self, blocks: Sequence[Sequence[str]]) -> list[Alert]:
-        """Ingest a batch of blocks; returns all alerts fired."""
-        alerts: list[Alert] = []
-        for producers in blocks:
-            alerts.extend(self.push(producers))
-        return alerts
-
-    def _evaluate(self) -> list[Alert]:
+    def _evaluate(self) -> None:
         # One-row batch so every monitored metric shares a single sort of
         # the current window's distribution.
         with obs.span("streaming.evaluate", block_count=self._block_count):
             batch = DistributionBatch.from_distributions(
                 [self._window.distribution()]
             )
-            alerts: list[Alert] = []
             for metric in self._metrics:
                 value = float(compute_batch(metric, batch)[0])
                 self._history[metric.name].append((self._block_count, value))
-                for rule in self._rules:
-                    if rule.metric == metric.name and rule.triggered(value):
-                        alerts.append(
-                            Alert(
-                                metric=metric.name,
-                                value=value,
-                                block_count=self._block_count,
-                                rule=rule,
-                            )
-                        )
         obs.counter("streaming.evaluations")
-        if alerts:
-            obs.counter("streaming.alerts", len(alerts))
-            for alert in alerts:
-                logger.warning(
-                    "threshold alert: %s=%.4f at block %d (below=%s above=%s)",
-                    alert.metric, alert.value, alert.block_count,
-                    alert.rule.below, alert.rule.above,
-                )
-        return alerts
 
     # -- inspection -----------------------------------------------------------------
 

@@ -1,9 +1,8 @@
 """Stateful alerting: pending → firing → resolved, with pluggable sinks.
 
-The streaming monitor's original threshold alerts were stateless — every
-evaluation that crossed a bound printed a line, so a metric hovering at a
-threshold paged on every window.  This module is the stateful engine the
-paper's "watch decentralization live" story needs:
+The monitor's one alert engine, for the paper's "watch decentralization
+live" story.  Alerts are stateful, so a metric hovering at a threshold
+pages once, not on every window:
 
 * :class:`AlertRule` — a named condition over the latest metric values
   (``below``/``above`` thresholds with a hysteresis band, or an arbitrary
@@ -453,22 +452,20 @@ class AlertManager:
 def rules_from_thresholds(
     below: Sequence[tuple[str, float]] = (),
     above: Sequence[tuple[str, float]] = (),
-    for_duration: float = 0.0,
-    keep_for: float = 0.0,
 ) -> list[AlertRule]:
-    """Compile the CLI's stateless ``--alert-below/--alert-above`` specs.
+    """Compile the CLI's ``--alert-below/--alert-above`` specs.
 
-    Each ``(metric, value)`` pair becomes one stateful rule on the
-    manager, so the legacy flags gain the full lifecycle for free.
+    Each ``(metric, value)`` pair becomes one rule named
+    ``<metric>-below-<value>`` or ``<metric>-above-<value>`` that fires
+    and resolves on the evaluation that crosses it (build an
+    :class:`AlertRule` directly for dwell times).
     """
     rules = [
-        AlertRule(f"{metric}-below-{value:g}", metric=metric, below=value,
-                  for_duration=for_duration, keep_for=keep_for)
+        AlertRule(f"{metric}-below-{value:g}", metric=metric, below=value)
         for metric, value in below
     ]
     rules += [
-        AlertRule(f"{metric}-above-{value:g}", metric=metric, above=value,
-                  for_duration=for_duration, keep_for=keep_for)
+        AlertRule(f"{metric}-above-{value:g}", metric=metric, above=value)
         for metric, value in above
     ]
     return rules

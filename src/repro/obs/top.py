@@ -127,7 +127,6 @@ def render_dashboard(
     if lag is not None:
         ingest += f" lag={lag}"
     ingest += f" evaluations={status.get('evaluations', 0)}"
-    ingest += f" alerts={status.get('alerts', 0)}"
     if rate is not None:
         ingest += f" throughput={rate:.1f} blocks/s"
     lines.append(ingest)

@@ -18,15 +18,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from repro import obs
-from repro.core.streaming import StreamingMonitor, ThresholdRule
+from repro.core.streaming import StreamingMonitor
 from repro.errors import ResilienceError
 from repro.obs.alerts import (
     AlertManager,
+    AlertRule,
     AlertSink,
     LogSink,
-    anomaly_rule,
     format_alert_event,
-    rules_from_thresholds,
 )
 from repro.obs.slo import SLO, SLOEngine
 from repro.obs.timeseries import TimeSeriesStore
@@ -46,7 +45,6 @@ class MonitorRun:
 
     blocks: int
     evaluations: int
-    alerts: int
     latest: dict[str, float] = field(default_factory=dict)
     port: int | None = None
     restarts: int = 0
@@ -61,8 +59,7 @@ def run_monitor(
     stride: int | None = None,
     *,
     chain: str = "unknown",
-    rules: Sequence[ThresholdRule] = (),
-    metrics: Sequence[str] = ("gini", "entropy", "nakamoto"),
+    alert_rules: Sequence[AlertRule] = (),
     total_blocks: int | None = None,
     serve_port: int | None = None,
     throttle: float = 0.0,
@@ -73,14 +70,9 @@ def run_monitor(
     max_restarts: int | None = None,
     restart_backoff: float = 0.05,
     injector: FaultInjector | None = None,
-    quality: dict | None = None,
     history: bool = True,
     slos: Sequence[SLO] = (),
     alert_sinks: Sequence[AlertSink] = (),
-    anomaly_metrics: Sequence[str] = (),
-    extra_alert_rules: Sequence = (),
-    alert_for: float = 0.0,
-    alert_keep_for: float = 0.0,
     overload: OverloadGuard | OverloadConfig | None = None,
     ingest_queue: int | None = None,
     ingest_policy: str = "block",
@@ -105,25 +97,24 @@ def run_monitor(
     restart budget raises :class:`~repro.errors.ResilienceError` after
     the server is torn down.  ``injector`` mangles the feed
     (:meth:`~repro.resilience.faults.FaultInjector.mangle_feed`) and
-    surfaces its fired-fault counts in ``/status``; ``quality`` attaches
-    an upstream ingest data-quality report there too.
+    surfaces its fired-fault counts in ``/status``.
+
+    Alerting is one :class:`~repro.obs.alerts.AlertManager` over
+    ``alert_rules`` (the CLI compiles its ``--alert-*`` thresholds with
+    :func:`~repro.obs.alerts.rules_from_thresholds` and its ``--anomaly``
+    metrics with :func:`~repro.obs.alerts.anomaly_rule`).  It evaluates
+    once per window evaluation, plus once at feed end with lag settled,
+    over the latest metric values extended with ``lag_blocks`` and
+    ``blocks_ingested``, prints every pending/firing/resolved transition
+    through ``print_fn`` and hands it to ``alert_sinks`` (a structured-log
+    sink is always present).
 
     With ``history`` (the default) a :class:`~repro.obs.timeseries.TimeSeriesStore`
     is attached to the registry for the duration of the run — every
     instrument plus each streaming metric (as
-    ``monitor.metric.<chain>.<name>``) records history — and a stateful
-    :class:`~repro.obs.alerts.AlertManager` runs alongside the legacy
-    stateless rules: the same ``rules`` compile into lifecycle rules,
-    ``slos`` add burn-rate rules (:meth:`~repro.obs.slo.SLOEngine.rules`),
-    ``anomaly_metrics`` add EWMA z-score rules, ``extra_alert_rules``
-    attach pre-built :class:`~repro.obs.alerts.AlertRule` objects (the
-    CLI uses this for progress specs like ``lag_blocks``), and
-    ``alert_sinks`` receive every pending/firing/resolved transition (a
-    structured-log sink is always present).  ``alert_for``/``alert_keep_for`` set the
-    compiled threshold rules' fire/resolve dwell times.  The manager
-    evaluates once per window evaluation (plus once at feed end, with
-    lag settled) over the latest metric values extended with
-    ``lag_blocks`` and ``blocks_ingested``.
+    ``monitor.metric.<chain>.<name>``) records history — and ``slos`` add
+    burn-rate rules (:meth:`~repro.obs.slo.SLOEngine.rules`) to the
+    manager; SLOs without history are refused.
 
     ``overload`` attaches the admission/rate-limit/shedding layer to the
     telemetry server (an :class:`~repro.serve.overload.OverloadConfig` is
@@ -134,55 +125,38 @@ def run_monitor(
     ``drop-oldest`` | ``shed``) while the ingest loop consumes — queue
     depth and drop counts surface in ``/metrics`` and ``/status``.
     """
-    monitor = StreamingMonitor(window_size, stride, metrics=metrics)
-    for rule in rules:
-        monitor.add_rule(rule)
+    if slos and not history:
+        raise ResilienceError("SLO evaluation requires history=True")
+    monitor = StreamingMonitor(window_size, stride)
     state = MonitorState(chain, monitor.window_size, monitor.stride, total_blocks)
     state.max_restarts = max_restarts
-    if quality is not None:
-        state.set_quality(quality)
     if injector is not None:
         feed = injector.mangle_feed(feed)
         state.faults_fn = lambda: dict(injector.fired)
     feed_iter = iter(feed)
     stop_event = stop_event or threading.Event()
     registry = obs.get_tracer().metrics
-    alerts_total = 0
     supervisor: MonitorSupervisor | None = None
     server: TelemetryServer | None = None
     store: TimeSeriesStore | None = None
-    manager: AlertManager | None = None
-    engine: SLOEngine | None = None
     previous_history = registry.history
+    manager = AlertManager(sinks=[LogSink(), *alert_sinks], registry=registry)
+    for alert_rule in alert_rules:
+        manager.add_rule(alert_rule)
+    state.alerts_fn = manager.summary
     if history:
         store = TimeSeriesStore()
         registry.set_history(store)
-        manager = AlertManager(sinks=[LogSink(), *alert_sinks], registry=registry)
-        for alert_rule in rules_from_thresholds(
-            below=[(r.metric, r.below) for r in rules if r.below is not None],
-            above=[(r.metric, r.above) for r in rules if r.above is not None],
-            for_duration=alert_for,
-            keep_for=alert_keep_for,
-        ):
-            manager.add_rule(alert_rule)
-        for metric in anomaly_metrics:
-            manager.add_rule(anomaly_rule(f"anomaly:{metric}", metric))
-        for alert_rule in extra_alert_rules:
-            manager.add_rule(alert_rule)
+        state.timeseries_fn = store.stats
+        state.sparklines_fn = lambda: {
+            name: store.tail_values(f"monitor.latest.{name}", 40)
+            for name in monitor.metric_names
+        }
         if slos:
             engine = SLOEngine(slos, store)
             for alert_rule in engine.rules():
                 manager.add_rule(alert_rule)
-        state.alerts_fn = manager.summary
-        state.timeseries_fn = store.stats
-        state.sparklines_fn = lambda: {
-            name: store.tail_values(f"monitor.latest.{name}", 40)
-            for name in metrics
-        }
-        if engine is not None:
             state.slo_fn = engine.summary
-    elif slos:
-        raise ResilienceError("SLO evaluation requires history=True")
 
     if isinstance(overload, OverloadConfig):
         overload = OverloadGuard(
@@ -202,18 +176,13 @@ def run_monitor(
         )
         state.ingest_fn = queue.stats
 
-    def manager_values() -> dict[str, float]:
-        """Latest metrics extended with ingest progress, for alert rules."""
+    def run_alert_engine() -> None:
+        """Evaluate the rules over the latest metrics plus ingest progress."""
         values = dict(monitor.latest())
         values["blocks_ingested"] = float(monitor.blocks_seen)
         if total_blocks is not None:
             values["lag_blocks"] = float(total_blocks - monitor.blocks_seen)
-        return values
-
-    def run_alert_engine() -> None:
-        if manager is None:
-            return
-        for event in manager.evaluate(manager_values()):
+        for event in manager.evaluate(values):
             print_fn(format_alert_event(event.as_dict()))
 
     if serve_port is not None:
@@ -256,19 +225,18 @@ def run_monitor(
 
     def ingest() -> None:
         """One incarnation of the ingest loop over the shared source."""
-        nonlocal alerts_total
         for producers in source:
             if stop_event.is_set():
                 logger.info("monitor stopping early at block %d", monitor.blocks_seen)
                 return
             start = time.perf_counter()
-            alerts = monitor.push(producers)
+            evaluated = monitor.push(producers)
             push_timing.observe(time.perf_counter() - start)
             blocks_gauge.set(monitor.blocks_seen)
             state.record_push(monitor.blocks_seen)
             if total_blocks is not None:
                 lag_gauge.set(total_blocks - monitor.blocks_seen)
-            if monitor.evaluations > state.evaluations:
+            if evaluated:
                 latest = monitor.latest()
                 for name, value in latest.items():
                     registry.gauge(f"monitor.latest.{name}").set(value)
@@ -276,13 +244,8 @@ def run_monitor(
                         store.record(
                             f"monitor.metric.{chain}.{name}", value, kind="metric"
                         )
-                state.record_evaluation(latest, len(alerts))
+                state.record_evaluation(latest)
                 run_alert_engine()
-            if alerts:
-                alerts_total += len(alerts)
-                registry.counter("monitor.alerts_total").inc(len(alerts))
-                for alert in alerts:
-                    print_fn(f"ALERT {alert}")
             if throttle > 0.0 and queue is None:
                 stop_event.wait(throttle)
 
@@ -326,11 +289,10 @@ def run_monitor(
     return MonitorRun(
         blocks=monitor.blocks_seen,
         evaluations=monitor.evaluations,
-        alerts=alerts_total,
         latest=monitor.latest(),
         port=server.port if server is not None else None,
         restarts=supervisor.restarts if supervisor is not None else 0,
-        alerts_fired=manager.fired_total if manager is not None else 0,
-        alerts_resolved=manager.resolved_total if manager is not None else 0,
+        alerts_fired=manager.fired_total,
+        alerts_resolved=manager.resolved_total,
         ingest_dropped=queue.dropped_total if queue is not None else 0,
     )

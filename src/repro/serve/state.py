@@ -39,7 +39,6 @@ class MonitorState:
         self.total_blocks = total_blocks
         self.blocks_ingested = 0
         self.evaluations = 0
-        self.alerts = 0
         self.latest: dict[str, float] = {}
         self.ready = False
         self.finished = False
@@ -48,10 +47,9 @@ class MonitorState:
         self.crashes = 0
         self.max_restarts: int | None = None
         self.last_error: str | None = None
-        self.quality: dict | None = None
         self.faults_fn: Callable[[], dict] | None = None
-        #: Optional section providers (wired by :func:`run_monitor` when
-        #: history/alerting are enabled); each feeds one ``/status`` key.
+        #: Optional section providers (wired by :func:`run_monitor`: alerting
+        #: always, the rest with history); each feeds one ``/status`` key.
         self.alerts_fn: Callable[[], dict] | None = None
         self.slo_fn: Callable[[], dict] | None = None
         self.timeseries_fn: Callable[[], dict] | None = None
@@ -67,7 +65,7 @@ class MonitorState:
         with self._lock:
             self.blocks_ingested = blocks_ingested
 
-    def record_evaluation(self, latest: dict[str, float], n_alerts: int) -> None:
+    def record_evaluation(self, latest: dict[str, float]) -> None:
         """Note one completed window evaluation; flips readiness.
 
         A completed evaluation after a crash also proves the restarted
@@ -75,7 +73,6 @@ class MonitorState:
         """
         with self._lock:
             self.evaluations += 1
-            self.alerts += n_alerts
             self.latest = dict(latest)
             self.ready = True
             self.degraded = False
@@ -91,11 +88,6 @@ class MonitorState:
         """The supervisor brought the ingest loop back up."""
         with self._lock:
             self.restarts += 1
-
-    def set_quality(self, quality: dict | None) -> None:
-        """Attach an ingest data-quality report for ``/status``."""
-        with self._lock:
-            self.quality = dict(quality) if quality is not None else None
 
     def mark_finished(self) -> None:
         """The feed is exhausted (the server may linger for scrapes)."""
@@ -137,7 +129,6 @@ class MonitorState:
                 "total_blocks": self.total_blocks,
                 "lag_blocks": lag,
                 "evaluations": self.evaluations,
-                "alerts": self.alerts,
                 "latest": dict(self.latest),
                 "ready": self.ready and not self.degraded,
                 "finished": self.finished,
@@ -150,7 +141,6 @@ class MonitorState:
                     "last_error": self.last_error,
                     "faults": None,
                 },
-                "quality": self.quality,
             }
         # Section providers run outside the lock: the overload section's
         # shedder re-enters is_degraded(), which needs the lock back.

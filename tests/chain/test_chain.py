@@ -172,11 +172,19 @@ class TestExport:
         assert table["primary_producer"].tolist()[5] == "a"
 
 
-def decoded_row_by_row(chain: Chain) -> tuple[list[str], list[str]]:
-    """``producer`` and ``primary_producer`` decoded one id at a time."""
-    names = chain.producer_names
-    credits = [names[pid] for pid in chain.producer_ids.tolist()]
-    primary = [names[chain.producer_ids[start]] for start in chain.offsets[:-1].tolist()]
+def decoded_row_by_row(chain: Chain) -> tuple[dict[str, list], list[str]]:
+    """``to_table()``'s columns and ``primary_producer``, one block at a time."""
+    names, ids, offsets = chain.producer_names, chain.producer_ids.tolist(), chain.offsets
+    credits: dict[str, list] = {"height": [], "timestamp": [], "producer": [], "n_producers": []}
+    primary = []
+    for block in range(chain.n_blocks):
+        producers = [names[pid] for pid in ids[offsets[block]:offsets[block + 1]]]
+        primary.append(producers[0])
+        for producer in producers:
+            credits["height"].append(int(chain.heights[block]))
+            credits["timestamp"].append(int(chain.timestamps[block]))
+            credits["producer"].append(producer)
+            credits["n_producers"].append(len(producers))
     return credits, primary
 
 
@@ -192,10 +200,12 @@ class TestEncodedExport:
 
     def assert_tables_decode(self, chain: Chain) -> None:
         credits, primary = decoded_row_by_row(chain)
-        producer = chain.to_table().column("producer")
+        table = chain.to_table()
         primary_producer = chain.block_table().column("primary_producer")
-        assert producer.codes is not None and primary_producer.codes is not None
-        assert producer.to_list() == credits
+        assert table.column("producer").codes is not None
+        assert primary_producer.codes is not None
+        for name, values in credits.items():
+            assert table.column(name).to_list() == values, name
         assert primary_producer.to_list() == primary
 
     def test_tiny_chain_tables_equal_the_row_by_row_decode(self, tiny_chain):
@@ -211,6 +221,8 @@ class TestEncodedExport:
         tables = ((chain.to_table(), "producer"), (chain.block_table(), "primary_producer"))
         for table, name in tables:
             assert np.shares_memory(table.column(name).codes, chain.producer_ids)
+            assert np.shares_memory(table.column("height").values, chain.heights)
+            assert np.shares_memory(table.column("timestamp").values, chain.timestamps)
 
     def test_repeated_producer_names_give_a_plain_column(self):
         chain = make_tiny_chain([["a"], ["b"]])

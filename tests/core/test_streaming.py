@@ -3,15 +3,26 @@
 import numpy as np
 import pytest
 
-from repro.core.streaming import Alert, StreamingMonitor, ThresholdRule
+from repro.core.streaming import StreamingMonitor
 from repro.errors import MeasurementError
+from repro.obs.alerts import AlertManager, AlertRule, format_alert_event
+from repro.obs.metrics import MetricsRegistry
 
 
-def feed(monitor, producers_sequence):
-    alerts = []
+def feed(monitor, producers_sequence, manager=None):
+    """Push every block; returns the events ``manager`` emits per evaluation."""
+    events = []
     for producers in producers_sequence:
-        alerts.extend(monitor.push(producers))
-    return alerts
+        if monitor.push(producers) and manager is not None:
+            events.extend(manager.evaluate(monitor.latest()))
+    return events
+
+
+def manager_with(*rules):
+    manager = AlertManager(registry=MetricsRegistry())
+    for rule in rules:
+        manager.add_rule(rule)
+    return manager
 
 
 class TestWindowMaintenance:
@@ -63,9 +74,10 @@ class TestEvaluationSchedule:
 
     def test_evaluates_at_window_then_every_stride(self):
         monitor = StreamingMonitor(window_size=10, stride=3, metrics=("gini",))
-        feed(monitor, [["a"], ["b"]] * 10)  # 20 blocks
+        evaluated = [monitor.push(block) for block in [["a"], ["b"]] * 10]
         counts = [n for n, _ in monitor.history("gini")]
         assert counts == [10, 13, 16, 19]
+        assert [i + 1 for i, flag in enumerate(evaluated) if flag] == counts
 
     def test_default_stride_is_half_window(self):
         monitor = StreamingMonitor(window_size=100)
@@ -85,58 +97,55 @@ class TestEvaluationSchedule:
 class TestAlerts:
     def test_threshold_below_fires(self):
         monitor = StreamingMonitor(window_size=4, stride=1, metrics=("nakamoto",))
-        monitor.add_rule(ThresholdRule("nakamoto", below=2))
+        manager = manager_with(AlertRule("nakamoto-below-2", metric="nakamoto", below=2))
         # One producer dominates the window -> nakamoto = 1 < 2.
-        alerts = feed(monitor, [["a"]] * 4)
-        assert alerts
-        assert all(isinstance(a, Alert) and a.metric == "nakamoto" for a in alerts)
+        events = feed(monitor, [["a"]] * 4, manager)
+        assert [(e.rule, e.state, e.value) for e in events] == [
+            ("nakamoto-below-2", "firing", 1.0)
+        ]
 
     def test_threshold_above_fires(self):
         monitor = StreamingMonitor(window_size=4, stride=1, metrics=("entropy",))
-        monitor.add_rule(ThresholdRule("entropy", above=1.9))
-        alerts = feed(monitor, [["a"], ["b"], ["c"], ["d"]])  # entropy = 2.0
-        assert len(alerts) == 1
-        assert alerts[0].value == pytest.approx(2.0)
+        manager = manager_with(AlertRule("entropy-above-1.9", metric="entropy", above=1.9))
+        events = feed(monitor, [["a"], ["b"], ["c"], ["d"]], manager)  # entropy = 2.0
+        assert len(events) == 1
+        assert events[0].value == pytest.approx(2.0)
 
     def test_quiet_stream_no_alerts(self):
         monitor = StreamingMonitor(window_size=6, stride=2, metrics=("nakamoto",))
-        monitor.add_rule(ThresholdRule("nakamoto", below=2))
-        alerts = feed(monitor, [["a"], ["b"], ["c"]] * 6)
-        assert alerts == []
-
-    def test_rule_for_unmonitored_metric_rejected(self):
-        monitor = StreamingMonitor(window_size=4, metrics=("gini",))
-        with pytest.raises(MeasurementError):
-            monitor.add_rule(ThresholdRule("nakamoto", below=3))
-
-    def test_rule_without_bounds_rejected(self):
-        with pytest.raises(MeasurementError):
-            ThresholdRule("gini")
+        manager = manager_with(AlertRule("nakamoto-below-2", metric="nakamoto", below=2))
+        assert feed(monitor, [["a"], ["b"], ["c"]] * 6, manager) == []
 
     def test_alert_str(self):
-        alert = Alert("gini", 0.9, 100, ThresholdRule("gini", above=0.8))
-        assert "gini=0.9" in str(alert)
+        monitor = StreamingMonitor(window_size=4, stride=1, metrics=("gini",))
+        manager = manager_with(AlertRule("gini-above-0.2", metric="gini", above=0.2))
+        (event,) = feed(monitor, [["a"], ["a"], ["a"], ["b"]], manager)
+        line = format_alert_event(event.as_dict())
+        assert "FIRING   gini-above-0.2 [warning] gini=0.2500 (above 0.2)" in line
 
 
 class TestOnSimulatedChain:
     def test_day14_triggers_streaming_alerts(self, btc_chain):
         """Streaming through January catches the day-14 anomaly."""
         monitor = StreamingMonitor(window_size=144, stride=72, metrics=("entropy",))
-        monitor.add_rule(ThresholdRule("entropy", above=5.0))
+        manager = manager_with(AlertRule("entropy-above-5", metric="entropy", above=5.0))
         january = btc_chain.slice_by_time(
             int(btc_chain.timestamps[0]), int(btc_chain.timestamps[0]) + 31 * 86_400
         )
-        alerts = []
+        fired_at = []
         for i in range(january.n_blocks):
             start, stop = january.offsets[i], january.offsets[i + 1]
             producers = [
                 january.producer_names[pid]
                 for pid in january.producer_ids[start:stop]
             ]
-            alerts.extend(monitor.push(producers))
-        assert alerts, "the day-14 multi-coinbase blocks must trip the rule"
+            if monitor.push(producers):
+                for event in manager.evaluate(monitor.latest()):
+                    if event.state == "firing":
+                        fired_at.append(monitor.blocks_seen)
+        assert fired_at, "the day-14 multi-coinbase blocks must trip the rule"
         # Alerts cluster around day 14: blocks ~13*150 to ~15*150.
-        assert any(1_700 <= a.block_count <= 2_400 for a in alerts)
+        assert any(1_700 <= block <= 2_400 for block in fired_at)
 
     def test_current_matches_engine_distribution(self, btc_chain):
         from repro.chain.attribution import attribute

@@ -234,13 +234,10 @@ class TestSinks:
 
 class TestRulesFromThresholds:
     def test_compiles_both_directions(self):
-        rules = rules_from_thresholds(
-            below=[("gini", 0.5)], above=[("nakamoto", 10.0)], keep_for=5.0
-        )
+        rules = rules_from_thresholds(below=[("gini", 0.5)], above=[("nakamoto", 10.0)])
         assert [r.name for r in rules] == ["gini-below-0.5", "nakamoto-above-10"]
         assert rules[0].below == 0.5
         assert rules[1].above == 10.0
-        assert all(r.keep_for == 5.0 for r in rules)
 
 
 class TestAnomalyDetector:

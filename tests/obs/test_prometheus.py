@@ -115,9 +115,9 @@ class TestRender:
 
     def test_counter_named_total_is_not_doubled(self):
         registry = MetricsRegistry()
-        registry.counter("monitor.alerts_total").inc()
+        registry.counter("alerts.fired_total").inc()
         text = render_prometheus(registry)
-        assert "repro_monitor_alerts_total 1" in text
+        assert "repro_alerts_fired_total 1" in text
         assert "total_total" not in text
 
     def test_gauge_keeps_its_name(self):

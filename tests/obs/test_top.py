@@ -21,7 +21,6 @@ FULL_STATUS = {
     "total_blocks": 4_320,
     "lag_blocks": 2_880,
     "evaluations": 18,
-    "alerts": 1,
     "build": {"version": "1.3.0", "python": "3.12.0"},
     "workers": {
         "cpu_count": 8,
@@ -56,7 +55,8 @@ class TestRenderDashboard:
         frame = render_dashboard(FULL_STATUS)
         assert "blocks=1440/4320" in frame
         assert "lag=2880" in frame
-        assert "alerts=1" in frame
+        assert "evaluations=18" in frame
+        assert "alerts=" not in frame
 
     def test_first_frame_throughput_is_lifetime_average(self):
         frame = render_dashboard(FULL_STATUS, previous=None)

@@ -274,7 +274,9 @@ class TestMonitorCommand:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "ALERT block " in out
+        assert "FIRING   gini-above-0 [warning] gini=" in out
+        assert "1 fired/0 resolved" in out
+        assert not any(line.startswith("ALERT") for line in out.splitlines())
 
     def test_monitor_survives_injected_faults_with_restarts(self, capsys):
         code = main(

@@ -5,6 +5,7 @@ import doctest
 import pytest
 
 import repro.chain.tags
+import repro.core.streaming
 import repro.metrics.entropy
 import repro.obs.alerts
 import repro.obs.metrics
@@ -26,6 +27,7 @@ import repro.windows.sliding
 
 MODULES = [
     repro.chain.tags,
+    repro.core.streaming,
     repro.metrics.entropy,
     repro.obs.alerts,
     repro.obs.metrics,

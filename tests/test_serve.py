@@ -21,8 +21,8 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.core.streaming import ThresholdRule
 from repro.errors import ResilienceError
+from repro.obs.alerts import rules_from_thresholds
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import (
     PROMETHEUS_CONTENT_TYPE,
@@ -71,13 +71,13 @@ class TestMonitorState:
         assert not state.is_ready()
         state.record_push(144)
         assert not state.is_ready()
-        state.record_evaluation({"gini": 0.8}, n_alerts=1)
+        state.record_evaluation({"gini": 0.8})
         assert state.is_ready()
 
     def test_snapshot_reports_window_and_lag(self):
         state = MonitorState("bitcoin", 144, 72, total_blocks=1000)
         state.record_push(200)
-        state.record_evaluation({"gini": 0.8, "nakamoto": 4.0}, n_alerts=0)
+        state.record_evaluation({"gini": 0.8, "nakamoto": 4.0})
         snap = state.snapshot()
         assert snap["window"] == {
             "size": 144, "stride": 72, "start_block": 56, "end_block": 200,
@@ -96,7 +96,7 @@ class TestMonitorState:
     def test_crash_degrades_until_next_evaluation(self):
         state = MonitorState("bitcoin", 10, 5)
         state.record_push(10)
-        state.record_evaluation({"gini": 0.5}, n_alerts=0)
+        state.record_evaluation({"gini": 0.5})
         assert state.is_ready()
         state.record_crash(RuntimeError("boom"))
         assert not state.is_ready()
@@ -107,16 +107,14 @@ class TestMonitorState:
         assert "boom" in snap["resilience"]["last_error"]
         state.record_restart()
         assert not state.is_ready()  # degraded until a window evaluates
-        state.record_evaluation({"gini": 0.5}, n_alerts=0)
+        state.record_evaluation({"gini": 0.5})
         assert state.is_ready()
         assert state.snapshot()["resilience"]["restarts"] == 1
 
-    def test_quality_and_faults_ride_along_in_status(self):
+    def test_faults_ride_along_in_status(self):
         state = MonitorState("x", 10, 5)
-        state.set_quality({"issues": 3, "refetched": 2})
         state.faults_fn = lambda: {"timeout": 2}
         snap = state.snapshot()
-        assert snap["quality"] == {"issues": 3, "refetched": 2}
         assert snap["resilience"]["faults"] == {"timeout": 2}
         json.dumps(snap)  # the /status payload must stay serializable
 
@@ -186,16 +184,17 @@ class TestRunMonitor:
             window_size=20,
             stride=10,
             chain="synthetic",
-            rules=[ThresholdRule("entropy", above=1.0)],
+            alert_rules=rules_from_thresholds(above=[("entropy", 1.0)]),
             total_blocks=100,
             print_fn=lines.append,
         )
         assert result.blocks == 100
         assert result.evaluations == 9  # blocks 20, 30, ..., 100
-        assert result.alerts == 9  # even split: entropy log2(5) > 1 every time
+        # Even split: entropy log2(5) > 1 on every evaluation, one firing.
+        assert (result.alerts_fired, result.alerts_resolved) == (1, 0)
         assert set(result.latest) == {"gini", "entropy", "nakamoto"}
         assert result.port is None
-        assert sum(line.startswith("ALERT") for line in lines) == 9
+        assert [line.split()[1:3] for line in lines] == [["FIRING", "entropy-above-1"]]
 
     def test_registry_gauges_track_progress(self):
         run_monitor(
@@ -529,7 +528,7 @@ class TestConcurrentScrapesDuringAlertTransition:
                     linger=-1.0,
                     port_file=str(port_file),
                     stop_event=stop,
-                    extra_alert_rules=[
+                    alert_rules=[
                         AlertRule("lag-high", metric="lag_blocks", above=5.0)
                     ],
                     print_fn=lambda _line: None,
@@ -623,11 +622,13 @@ class TestConcurrentScrapesDuringAlertTransition:
             )
 
     def test_history_disabled_leaves_registry_free(self):
-        run_monitor(
+        result = run_monitor(
             synthetic_feed(20),
             window_size=10,
             stride=5,
             history=False,
+            alert_rules=rules_from_thresholds(above=[("entropy", 1.0)]),
             print_fn=lambda _line: None,
         )
         assert obs.get_tracer().metrics.history is None
+        assert result.alerts_fired == 1  # alerting does not need history
