@@ -53,7 +53,7 @@ from repro.core.summary import summarize
 from repro.errors import FaultSpecError, ReproError
 from repro.metrics import available_metrics
 from repro.obs.export import validate_trace_file, write_trace
-from repro.obs.logging import configure_logging
+from repro.obs.logging import configured_logging
 from repro.obs.regression import (
     compare_benchmarks,
     format_comparison,
@@ -507,10 +507,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point; returns a process exit code."""
+    """Entry point; returns a process exit code.
+
+    The ``repro`` logger is configured for the call only: on return it
+    has its previous handlers, level and propagation again.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    configure_logging(json_lines=args.log_json, level=args.log_level)
+    with configured_logging(json_lines=args.log_json, level=args.log_level):
+        return _run(args)
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run one parsed command, with the tracing and profiling it asks for."""
     exit_flush: Callable[[], None] | None = None
     if args.trace or args.profile:
         obs.enable_tracing()
@@ -1004,12 +1013,27 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Blocks whose producer names the monitor feed decodes in one step, so
+#: the decoded names held at once are bounded by the chunk, not the chain.
+_FEED_CHUNK_BLOCKS = 4096
+
+
 def _block_feed(chain, limit: int | None) -> Iterator[list[str]]:
-    """Yield each block's producer names, optionally truncated to ``limit``."""
+    """Yield each block's producer names, optionally truncated to ``limit``.
+
+    Ids decode to names a chunk of blocks at a time (one ``tolist()`` and
+    one pass through ``producer_names``); each block is then a list slice.
+    """
     n_blocks = chain.n_blocks if limit is None else min(limit, chain.n_blocks)
     offsets, ids, names = chain.offsets, chain.producer_ids, chain.producer_names
-    for i in range(n_blocks):
-        yield [names[pid] for pid in ids[offsets[i]:offsets[i + 1]]]
+    for first in range(0, n_blocks, _FEED_CHUNK_BLOCKS):
+        last = min(first + _FEED_CHUNK_BLOCKS, n_blocks)
+        start, stop = offsets[first], offsets[last]
+        decoded = list(map(names.__getitem__, ids[start:stop].tolist()))
+        lo = 0
+        for hi in (offsets[first + 1:last + 1] - start).tolist():
+            yield decoded[lo:hi]
+            lo = hi
 
 
 def _cmd_monitor(study: DecentralizationStudy, args: argparse.Namespace) -> int:

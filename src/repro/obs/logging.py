@@ -18,11 +18,12 @@ applications keep full control of routing.
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import io
 import json
 import logging
-from typing import Any
+from typing import Any, Iterator
 
 from repro.obs import tracer as _tracer_module
 
@@ -113,6 +114,36 @@ def configure_logging(
     root.setLevel(level)
     root.propagate = False
     return root
+
+
+@contextlib.contextmanager
+def configured_logging(
+    json_lines: bool = False,
+    level: int | str = logging.INFO,
+    stream: io.TextIOBase | None = None,
+) -> Iterator[logging.Logger]:
+    """:func:`configure_logging` for one ``with`` block.
+
+    On exit the ``repro`` logger is left as the block found it: the
+    handler installed here is removed and closed, and the previous
+    handlers, level and propagation come back.  ``repro.cli.main`` runs
+    each command inside one, so a later in-process call (or pytest's
+    ``caplog``) never meets a handler bound to an earlier call's stream.
+    """
+    root = logging.getLogger(ROOT_LOGGER_NAME)
+    handlers, previous_level, propagate = list(root.handlers), root.level, root.propagate
+    configure_logging(json_lines=json_lines, level=level, stream=stream)
+    try:
+        yield root
+    finally:
+        for handler in [h for h in root.handlers if h not in handlers]:
+            root.removeHandler(handler)
+            handler.close()
+        for handler in handlers:
+            if handler not in root.handlers:
+                root.addHandler(handler)
+        root.setLevel(previous_level)
+        root.propagate = propagate
 
 
 def get_logger(name: str) -> logging.Logger:

@@ -218,7 +218,7 @@ class CircuitBreaker:
 
     @property
     def failure_count(self) -> int:
-        """Consecutive failures recorded since the last success."""
+        """Consecutive failures since the last success, capped at the threshold."""
         with self._lock:
             return self._consecutive_failures
 
@@ -254,10 +254,17 @@ class CircuitBreaker:
             self._probe_in_flight = False
 
     def record_failure(self) -> None:
-        """A call failed: trip the circuit at the threshold (or on a probe)."""
+        """A call failed: trip the circuit at the threshold (or on a probe).
+
+        The failure run saturates at ``failure_threshold``: a late failure
+        from a call admitted before the trip, or a failed half-open probe,
+        re-arms the cool-down but does not count past the threshold.
+        """
         with self._lock:
             self._resolve_state()
-            self._consecutive_failures += 1
+            self._consecutive_failures = min(
+                self._consecutive_failures + 1, self.failure_threshold
+            )
             self._probe_in_flight = False
             if (
                 self._state == self.HALF_OPEN

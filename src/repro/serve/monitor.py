@@ -12,6 +12,8 @@ the feed and the monitor), while a :class:`~repro.serve.http.TelemetryServer`
 from __future__ import annotations
 
 import logging
+import os
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -53,6 +55,25 @@ class MonitorRun:
     ingest_dropped: int = 0
 
 
+def _write_port_file(path: str, port: int) -> None:
+    """Write ``port`` to ``path`` so a poller never reads it half-written.
+
+    The number goes to a temporary file in the same directory, which
+    ``os.replace`` then renames onto ``path`` in one step: ``path`` either
+    does not exist yet or holds the whole line.
+    """
+    fd, staging = tempfile.mkstemp(
+        dir=os.path.dirname(os.path.abspath(path)), prefix=".port-", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(f"{port}\n")
+        os.replace(staging, path)
+    except BaseException:
+        os.unlink(staging)
+        raise
+
+
 def run_monitor(
     feed: Iterable[Sequence[str]],
     window_size: int,
@@ -82,7 +103,8 @@ def run_monitor(
     ``feed`` yields one block's producer names at a time.  With
     ``serve_port`` (0 = ephemeral) a :class:`TelemetryServer` answers
     ``/metrics``, ``/healthz``, ``/readyz`` and ``/status`` concurrently;
-    ``port_file`` gets the bound port written to it for scripted scrapers.
+    ``port_file`` gets the bound port written to it (atomically) for
+    scripted scrapers.
     ``throttle`` sleeps that many seconds between blocks, ``linger`` keeps
     the server up that long after the feed ends (interrupted by
     ``stop_event``), and ``stop_event`` aborts ingestion between blocks —
@@ -114,7 +136,11 @@ def run_monitor(
     instrument plus each streaming metric (as
     ``monitor.metric.<chain>.<name>``) records history — and ``slos`` add
     burn-rate rules (:meth:`~repro.obs.slo.SLOEngine.rules`) to the
-    manager; SLOs without history are refused.
+    manager; SLOs without history are refused.  The two progress gauges,
+    ``monitor.blocks_ingested`` and ``monitor.lag_blocks``, move every
+    block but record one history point per window evaluation (before the
+    alert rules run) and one at feed end; ``monitor.push_seconds`` keeps
+    one point per push.
 
     ``overload`` attaches the admission/rate-limit/shedding layer to the
     telemetry server (an :class:`~repro.serve.overload.OverloadConfig` is
@@ -185,20 +211,24 @@ def run_monitor(
         for event in manager.evaluate(values):
             print_fn(format_alert_event(event.as_dict()))
 
-    if serve_port is not None:
-        server = TelemetryServer(
-            registry, status_fn=state.snapshot, ready_fn=state.is_ready,
-            port=serve_port, store=store, alert_manager=manager,
-            overload=overload,
-        )
-        port = server.start()
-        print_fn(f"serving telemetry on http://127.0.0.1:{port}")
-        if port_file:
-            with open(port_file, "w", encoding="utf-8") as fh:
-                fh.write(f"{port}\n")
     blocks_gauge = registry.gauge("monitor.blocks_ingested")
     lag_gauge = registry.gauge("monitor.lag_blocks")
     push_timing = registry.timing("monitor.push_seconds")
+    if store is not None:
+        # The progress gauges still move every block, but their history is
+        # written by record_progress(); the finally's set_history re-wires them.
+        blocks_gauge.history = lag_gauge.history = None
+
+    def record_progress() -> None:
+        """One history point per progress gauge, at each evaluation and at
+        feed end (before ``/status`` counts the evaluation or the finish)."""
+        if store is None:
+            return
+        store.record("monitor.blocks_ingested", monitor.blocks_seen, kind="gauge")
+        if total_blocks is not None:
+            store.record(
+                "monitor.lag_blocks", total_blocks - monitor.blocks_seen, kind="gauge"
+            )
 
     #: The ingest loop's source: the queue when backpressure is on (the
     #: feeder thread pumps into it), else the shared feed iterator.  Both
@@ -237,6 +267,7 @@ def run_monitor(
             if total_blocks is not None:
                 lag_gauge.set(total_blocks - monitor.blocks_seen)
             if evaluated:
+                record_progress()
                 latest = monitor.latest()
                 for name, value in latest.items():
                     registry.gauge(f"monitor.latest.{name}").set(value)
@@ -250,6 +281,16 @@ def run_monitor(
                 stop_event.wait(throttle)
 
     try:
+        if serve_port is not None:
+            server = TelemetryServer(
+                registry, status_fn=state.snapshot, ready_fn=state.is_ready,
+                port=serve_port, store=store, alert_manager=manager,
+                overload=overload,
+            )
+            port = server.start()
+            print_fn(f"serving telemetry on http://127.0.0.1:{port}")
+            if port_file:
+                _write_port_file(port_file, port)
         if queue is not None:
             feeder = threading.Thread(
                 target=feed_pump, name="repro-ingest-feeder", daemon=True
@@ -267,6 +308,7 @@ def run_monitor(
                 name=f"monitor:{chain}",
             )
             supervisor.run()
+        record_progress()
         state.mark_finished()
         # One settled pass so progress-based rules (e.g. lag_blocks) can
         # resolve before the server lingers for its final scrapes.

@@ -10,6 +10,7 @@ from repro import obs
 from repro.obs.logging import (
     ROOT_LOGGER_NAME,
     configure_logging,
+    configured_logging,
     get_logger,
 )
 
@@ -125,6 +126,21 @@ class TestConfiguration:
             assert foreign in root.handlers
         finally:
             root.removeHandler(foreign)
+
+    def test_configured_block_restores_the_logger_even_on_error(self, log_stream):
+        configure_logging(stream=log_stream)
+        root = logging.getLogger(ROOT_LOGGER_NAME)
+        before = (list(root.handlers), root.level, root.propagate)
+        inner = io.StringIO()
+        with pytest.raises(RuntimeError):
+            with configured_logging(level="DEBUG", stream=inner) as configured:
+                assert configured.level == logging.DEBUG
+                get_logger("x").debug("inside")
+                raise RuntimeError("command failed")
+        assert (list(root.handlers), root.level, root.propagate) == before
+        get_logger("x").warning("outside")
+        assert "inside" in inner.getvalue() and "outside" not in inner.getvalue()
+        assert "outside" in log_stream.getvalue()
 
     def test_unknown_level_raises(self):
         with pytest.raises(ValueError, match="unknown log level"):

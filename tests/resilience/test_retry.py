@@ -171,6 +171,38 @@ class TestCircuitBreaker:
             retry_call(flaky(99), policy=policy, breaker=breaker, clock=clock)
         assert breaker.open_count == 1
 
+    def test_failure_run_saturates_at_threshold(self):
+        """A late failure after the trip and a failed half-open probe re-arm
+        the cool-down and keep every transition, but never count past the
+        threshold."""
+        clock = ManualClock()
+        breaker = CircuitBreaker(failure_threshold=2, reset_timeout=10.0, clock=clock)
+        breaker.record_failure()
+        breaker.record_failure()
+        assert (breaker.state, breaker.failure_count, breaker.open_count) == (
+            CircuitBreaker.OPEN, 2, 1
+        )
+        # A call admitted before the trip reports its failure late.
+        clock.advance(6.0)
+        breaker.record_failure()
+        assert (breaker.state, breaker.failure_count, breaker.open_count) == (
+            CircuitBreaker.OPEN, 2, 1
+        )
+        clock.advance(6.0)  # 12 s after the trip, 6 s after the re-arm
+        assert breaker.state == CircuitBreaker.OPEN
+        clock.advance(4.0)
+        assert breaker.state == CircuitBreaker.HALF_OPEN
+        assert breaker.allow()  # the probe, which fails
+        breaker.record_failure()
+        assert (breaker.state, breaker.failure_count, breaker.open_count) == (
+            CircuitBreaker.OPEN, 2, 2
+        )
+        assert not breaker.allow()
+        clock.advance(10.0)
+        assert breaker.allow()
+        breaker.record_success()
+        assert (breaker.state, breaker.failure_count) == (CircuitBreaker.CLOSED, 0)
+
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValidationError):
             CircuitBreaker(failure_threshold=0)

@@ -5,6 +5,7 @@ once per invocation, so the suite keeps CLI runs to a handful.
 """
 
 import json
+import logging
 
 import pytest
 
@@ -44,6 +45,26 @@ class TestParser:
     def test_seed_is_global(self):
         args = build_parser().parse_args(["--seed", "7", "study"])
         assert args.seed == 7
+
+
+class TestLoggingLeftAsFound:
+    """``main`` configures the ``repro`` logger for its call only."""
+
+    def test_repro_warnings_reach_caplog_after_main(self, tmp_path, caplog, capsys):
+        log = tmp_path / "alerts.jsonl"
+        log.write_text("")
+        assert main(["alerts", str(log)]) == 0
+        with caplog.at_level("WARNING", logger="repro.cli"):
+            logging.getLogger("repro.cli").warning("after main")
+        assert [record.getMessage() for record in caplog.records] == ["after main"]
+
+    def test_handlers_level_and_propagation_restored(self, tmp_path, capsys):
+        log = tmp_path / "alerts.jsonl"
+        log.write_text("")
+        root = logging.getLogger("repro")
+        before = (list(root.handlers), root.level, root.propagate)
+        assert main(["--log-json", "--log-level", "DEBUG", "alerts", str(log)]) == 0
+        assert (list(root.handlers), root.level, root.propagate) == before
 
 
 class TestCommands:

@@ -207,6 +207,28 @@ class TestRunMonitor:
         assert snap["gauges"]["monitor.latest.gini"] >= 0.0
         assert snap["timings"]["monitor.push_seconds"]["count"] == 40
 
+    def test_progress_gauges_record_history_once_per_evaluation(self, monkeypatch):
+        """The progress gauges' history holds one point per window
+        evaluation plus one at feed end; the push timing keeps one per push."""
+        from repro.obs.timeseries import TimeSeriesStore
+
+        stores = []
+
+        def capturing_store(*args, **kwargs):
+            stores.append(TimeSeriesStore(*args, **kwargs))
+            return stores[-1]
+
+        monkeypatch.setattr("repro.serve.monitor.TimeSeriesStore", capturing_store)
+        run_monitor(synthetic_feed(40), window_size=10, stride=5, total_blocks=40)
+        (store,) = stores
+
+        def values(name):
+            return [value for _, value in store.raw_points(name)]
+
+        assert values("monitor.blocks_ingested") == [10, 15, 20, 25, 30, 35, 40, 40]
+        assert values("monitor.lag_blocks") == [30, 25, 20, 15, 10, 5, 0, 0]
+        assert len(values("monitor.push_seconds")) == 40
+
     def test_stop_event_aborts_ingestion(self):
         stop = threading.Event()
         stop.set()
@@ -278,6 +300,46 @@ class TestServedMonitor:
         (result,) = results
         assert result.blocks == window
         assert result.evaluations == 1
+
+
+class TestPortFile:
+    def test_port_file_appears_whole_and_leaves_no_staging_file(
+        self, tmp_path, monkeypatch
+    ):
+        port_file = tmp_path / "port"
+        renames = []
+        real_replace = os.replace
+
+        def checked_replace(src, dst):
+            # Until the rename the port file does not exist; the rename
+            # moves a complete file into place in one step.
+            assert not os.path.exists(dst)
+            renames.append((Path(src).parent, Path(src).read_text(encoding="utf-8")))
+            real_replace(src, dst)
+
+        monkeypatch.setattr("repro.serve.monitor.os.replace", checked_replace)
+        result = run_monitor(
+            synthetic_feed(20), window_size=10, stride=5, serve_port=0,
+            port_file=str(port_file), print_fn=lambda _line: None,
+        )
+        assert renames == [(tmp_path, f"{result.port}\n")]
+        assert port_file.read_text(encoding="utf-8") == f"{result.port}\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["port"]
+
+    def test_failed_port_file_write_cleans_up(self, tmp_path):
+        target = tmp_path / "port"
+        target.mkdir()  # a file cannot be renamed over a directory
+        before = set(threading.enumerate())
+        with pytest.raises(OSError):
+            run_monitor(
+                synthetic_feed(20), window_size=10, stride=5, serve_port=0,
+                port_file=str(target), print_fn=lambda _line: None,
+            )
+        assert [path.name for path in tmp_path.iterdir()] == ["port"]
+        assert not any(target.iterdir())
+        started = set(threading.enumerate()) - before
+        assert not [t for t in started if t.name == "repro-telemetry"]
+        assert obs.get_tracer().metrics.history is None
 
 
 class TestSupervisedMonitor:
