@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-perf bench-parallel bench-diff chaos examples report lint lint-docs all
+.PHONY: install test bench bench-perf bench-parallel chaos examples report lint lint-docs all
 
 install:
 	python setup.py develop
@@ -13,15 +13,10 @@ bench-perf:
 	pytest benchmarks/bench_perf_pipeline.py benchmarks/bench_perf_parallel.py \
 		benchmarks/bench_perf_sql.py benchmarks/bench_perf_profile.py \
 		benchmarks/bench_perf_timeseries.py benchmarks/bench_perf_serve.py \
-		--benchmark-only --benchmark-json=BENCH_pipeline.json
+		--benchmark-only
 
 bench-parallel:
 	pytest benchmarks/bench_perf_parallel.py --benchmark-only
-
-bench-diff: BENCH_pipeline.json
-	python -m repro.cli bench-diff \
-		benchmarks/baselines/BENCH_pipeline_baseline.json \
-		BENCH_pipeline.json --fail-over 1.25 --min-seconds 0.005
 
 chaos:
 	python -m repro.cli chaos --seed 7

@@ -1,15 +1,12 @@
 """Reporting helpers shared by the figure benchmarks.
 
 The row formatting lives in :mod:`repro.viz.tables` (shared with the CLI
-``measure`` summary); these wrappers only print.  ``record_stage_timings``
-feeds stage-level span totals into pytest-benchmark's ``extra_info`` so
-``make bench-perf`` lands them in ``BENCH_pipeline.json`` alongside the
-headline numbers.
+``measure`` summary); these wrappers only print.  Per-stage timings of
+the whole pipeline come from perfbench (``perfbench/run.py --trace 1``),
+not from these benchmarks.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from repro.core.series import MeasurementSeries
 from repro.viz.tables import format_notes, format_series_rows
@@ -25,33 +22,3 @@ def report_notes(notes: dict[str, float]) -> None:
     if notes:
         print(format_notes(notes))
 
-
-def record_stage_timings(benchmark, fn: Callable[[], object]) -> None:
-    """Run ``fn`` once under tracing and stash span totals on ``benchmark``.
-
-    Aggregates the recorded spans by name into ``{count, total_seconds}``
-    entries under ``extra_info["stages"]`` (plus the tracer's counters
-    under ``extra_info["counters"]``), which pytest-benchmark serializes
-    into the ``--benchmark-json`` output.
-    """
-    from repro import obs
-    from repro.obs.report import aggregate_spans
-
-    tracer = obs.enable_tracing()
-    try:
-        fn()
-        stages: dict[str, dict] = {}
-
-        def collect(node, path: str) -> None:
-            for child in node.children.values():
-                key = f"{path}{child.name}"
-                entry = stages.setdefault(key, {"count": 0, "total_seconds": 0.0})
-                entry["count"] += child.count
-                entry["total_seconds"] += child.total
-                collect(child, f"{key}/")
-
-        collect(aggregate_spans(tracer.spans), "")
-        benchmark.extra_info["stages"] = stages
-        benchmark.extra_info["counters"] = tracer.metrics.snapshot()["counters"]
-    finally:
-        obs.disable_tracing()

@@ -3,21 +3,19 @@
 Times the hot paths a user of the library actually hits: a full fixed
 daily measurement over each chain, the full sliding family, a BigQuery-
 style SQL aggregation over the Bitcoin credit table, and the table
-engine's group-by on the same data.  The headline benchmarks also run
-once under tracing (outside the timed rounds) so ``make bench-perf``
-lands per-stage span totals in ``BENCH_pipeline.json``.
+engine's group-by on the same data.  ``make bench-perf`` prints their
+pytest-benchmark tables; the repo's end-to-end and per-layer performance
+numbers come from perfbench (``perfbench/run.py``, see ``BENCHMARK.json``).
 """
 
 import pytest
 
-from _bench_util import record_stage_timings
 from repro.sql import QueryEngine
 
 
 def test_perf_btc_daily_gini(benchmark, btc):
     series = benchmark(btc.measure_calendar, "gini", "day")
     assert len(series) == 365
-    record_stage_timings(benchmark, lambda: btc.measure_calendar("gini", "day"))
 
 
 def test_perf_eth_daily_gini(benchmark, eth):
@@ -46,7 +44,6 @@ def test_perf_btc_sliding_family_measure_many(benchmark, btc):
     sweeps = benchmark(full_sweep)
     assert all(set(sweep) == set(metrics) for sweep in sweeps)
     assert sum(len(sweep["gini"]) for sweep in sweeps) > 800
-    record_stage_timings(benchmark, full_sweep)
 
 
 def test_perf_eth_sliding_family_measure_many(benchmark, eth):
@@ -89,10 +86,8 @@ def test_perf_eth_attribution(benchmark, study):
     from repro.chain.attribution import attribute
 
     chain = study.chain("eth")
-    # 2 cold rounds showed ~44% stddev (0.278s vs 0.532s) and tripped the
-    # bench-diff gate spuriously; a warmup round plus 5 measured rounds
-    # keeps the median inside the gate's tolerance (bench-diff also flags
-    # any benchmark below 5 rounds as UNDER-SAMPLED).
+    # 2 cold rounds showed ~44% stddev (0.278s vs 0.532s); a warmup round
+    # plus 5 measured rounds gives a median steady enough to compare runs.
     credits = benchmark.pedantic(
         attribute, args=(chain,), rounds=5, iterations=1, warmup_rounds=1
     )

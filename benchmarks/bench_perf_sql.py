@@ -4,8 +4,8 @@ Builds a 200k-row synthetic block table and times the same selective
 equality query through an indexed engine and through an ``optimizer=False``
 engine.  The headline test asserts the acceptance gate from the optimizer
 PR: the indexed point lookup must be at least 5x faster end-to-end than
-the full scan, with byte-identical results.  ``make bench-perf`` records
-these timings in ``BENCH_pipeline.json``.
+the full scan, with byte-identical results.  CI ``bench-smoke`` runs that
+gate; ``make bench-perf`` prints the timing tables.
 """
 
 import time

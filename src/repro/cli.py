@@ -12,7 +12,6 @@ Subcommands::
     repro-decentralization top        --port 9464
     repro-decentralization alerts     alerts.jsonl --follow
     repro-decentralization chaos      --seed 7 --blocks 4096
-    repro-decentralization bench-diff OLD.json NEW.json --fail-over 1.25
 
 All commands simulate the calibrated 2019 datasets on demand (seeded, so
 repeated runs are identical).  The global ``--trace FILE`` flag records a
@@ -34,8 +33,7 @@ per usable CPU; see ``docs/PARALLELISM.md``).
 Exit codes are part of the contract: ``2`` for argument/validation
 errors (including a malformed ``--inject-faults`` spec or ``--slo``
 file), ``1`` for runtime failures (I/O, unknown figures, exhausted retries or an open
-circuit breaker, a chaos-run divergence, a benchmark regression past
-``--fail-over``), ``0`` otherwise.
+circuit breaker, a chaos-run divergence), ``0`` otherwise.
 """
 
 from __future__ import annotations
@@ -54,11 +52,6 @@ from repro.errors import FaultSpecError, ReproError
 from repro.metrics import available_metrics
 from repro.obs.export import validate_trace_file, write_trace
 from repro.obs.logging import configured_logging
-from repro.obs.regression import (
-    compare_benchmarks,
-    format_comparison,
-    load_benchmark_file,
-)
 from repro.obs.report import (
     format_profile_rollup,
     profile_rollup,
@@ -487,22 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--interval", type=float, default=0.5,
         help="poll interval while following (default 0.5s)",
     )
-
-    bench_diff = sub.add_parser(
-        "bench-diff",
-        help="compare two BENCH_pipeline.json files and gate on regressions",
-    )
-    bench_diff.add_argument("old", help="baseline pytest-benchmark JSON")
-    bench_diff.add_argument("new", help="candidate pytest-benchmark JSON")
-    bench_diff.add_argument(
-        "--fail-over", type=float, default=None, metavar="RATIO",
-        help="exit 1 when any median grew past RATIO x baseline (e.g. 1.25); "
-        "without it the diff is informational and always exits 0",
-    )
-    bench_diff.add_argument(
-        "--min-seconds", type=float, default=0.001,
-        help="ignore stages whose baseline median is below this (noise floor)",
-    )
     return parser
 
 
@@ -596,8 +573,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_top(args)
     if args.command == "alerts":
         return _cmd_alerts(args)
-    if args.command == "bench-diff":
-        return _cmd_bench_diff(args)
     if args.command == "chaos":
         return _cmd_chaos(args)
     if args.command == "loadgen":
@@ -1255,39 +1230,6 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read alert log {args.file}: {exc}", file=sys.stderr)
         return 1
-
-
-def _cmd_bench_diff(args: argparse.Namespace) -> int:
-    if args.fail_over is not None and args.fail_over <= 1.0:
-        print(
-            f"error: --fail-over must be > 1.0 (a growth ratio), "
-            f"got {args.fail_over}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.min_seconds < 0:
-        print(
-            f"error: --min-seconds must be >= 0, got {args.min_seconds}",
-            file=sys.stderr,
-        )
-        return 2
-    old = load_benchmark_file(args.old)
-    new = load_benchmark_file(args.new)
-    report = compare_benchmarks(old, new, min_seconds=args.min_seconds)
-    print(format_comparison(report, tolerance=args.fail_over))
-    if args.fail_over is None:
-        return 0
-    regressions = report.regressions(args.fail_over)
-    if regressions:
-        worst = regressions[0]
-        print(
-            f"error: {len(regressions)} regression(s) past "
-            f"{args.fail_over:.2f}x; worst: {worst.key} at {worst.ratio:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"ok: no median regressed past {args.fail_over:.2f}x")
-    return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:

@@ -72,19 +72,12 @@ from repro.obs.profile import (
     profiling_enabled,
 )
 from repro.obs.prometheus import build_info, render_prometheus, sanitize_metric_name
-from repro.obs.regression import (
-    compare_benchmarks,
-    format_comparison,
-    load_benchmark_file,
-)
 from repro.obs.report import (
     aggregate_spans,
     format_profile_rollup,
     format_span_tree,
     profile_rollup,
-    summarize_trace_file,
     summarize_trace_file_lenient,
-    summarize_tracer,
 )
 from repro.obs.slo import SLO, BurnWindow, SLOEngine, load_slo_file, parse_slo_config
 from repro.obs.timeseries import QuantileSketch, TimeSeriesStore, attach_history
@@ -127,7 +120,6 @@ __all__ = [
     "anomaly_rule",
     "attach_history",
     "build_info",
-    "compare_benchmarks",
     "configure_logging",
     "counter",
     "current_span",
@@ -136,13 +128,11 @@ __all__ = [
     "enable_profiling",
     "enable_tracing",
     "format_alert_event",
-    "format_comparison",
     "format_profile_rollup",
     "format_span_tree",
     "gauge",
     "get_logger",
     "get_tracer",
-    "load_benchmark_file",
     "load_slo_file",
     "load_trace_file",
     "load_trace_file_lenient",
@@ -154,9 +144,7 @@ __all__ = [
     "rules_from_thresholds",
     "sanitize_metric_name",
     "span",
-    "summarize_trace_file",
     "summarize_trace_file_lenient",
-    "summarize_tracer",
     "timing",
     "traced",
     "tracing_enabled",

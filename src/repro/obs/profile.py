@@ -47,7 +47,6 @@ import os
 import time
 from typing import Any, Callable
 
-from repro.obs import tracer as _tracer_mod
 from repro.obs.tracer import get_tracer
 
 #: Module-level switch; read via :func:`profiling_enabled`.
@@ -175,8 +174,3 @@ def profiled(name: str | None = None) -> Callable:
         return wrapper
 
     return decorate
-
-
-def profile_span(name: str, **attrs: Any):
-    """Context-manager form of :func:`profiled` on the process-wide tracer."""
-    return _tracer_mod.span(name, **attrs)

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from repro.obs.export import load_trace_file
-from repro.obs.tracer import SpanRecord, Tracer
+from repro.obs.export import load_trace_file_lenient
+from repro.obs.tracer import SpanRecord
 
 
 @dataclass
@@ -190,17 +190,6 @@ def _compose_summary(spans: Sequence[SpanRecord], metrics: dict) -> str:
     return "\n\n".join(parts)
 
 
-def summarize_tracer(tracer: Tracer) -> str:
-    """Span tree (+ profile rollup, when present) + metrics of a live tracer."""
-    return _compose_summary(tracer.spans, tracer.metrics.snapshot())
-
-
-def summarize_trace_file(path: str | Path) -> str:
-    """Span tree + metrics summary of a trace file in either format."""
-    spans, metrics = load_trace_file(path)
-    return _compose_summary(spans, metrics)
-
-
 def summarize_trace_file_lenient(path: str | Path) -> tuple[str, int, int]:
     """Summary tolerating corrupt records (for traces from interrupted runs).
 
@@ -209,8 +198,6 @@ def summarize_trace_file_lenient(path: str | Path) -> tuple[str, int, int]:
     ``repro trace`` subcommand: it warns about skipped records and fails
     only when nothing at all was readable.
     """
-    from repro.obs.export import load_trace_file_lenient
-
     spans, metrics, skipped = load_trace_file_lenient(path)
     n_records = (
         len(spans)

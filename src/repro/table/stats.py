@@ -170,7 +170,7 @@ def _column_statistics(table: Table, name: str, most_common: int) -> ColumnStati
         return ColumnStatistics(
             name=name, kind=column.kind, n_rows=n_rows, n_null=n_null, n_distinct=0
         )
-    distinct, counts = np.unique(valid, return_counts=True)
+    distinct, counts = _distinct_counts(valid, column.kind)
     mcv = _top_values(distinct, counts, most_common)
     if column.kind == "bool":
         min_value = max_value = None
@@ -227,13 +227,27 @@ def _encoded_statistics(
     )
 
 
+def _distinct_counts(valid: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(valid, return_counts=True)``, without the sort when an int
+    column is already non-decreasing (a chain's heights and timestamps).
+
+    Ints only: for floats ``-0.0 == 0.0``, so a run's first value could differ
+    from the representative ``np.unique`` picks.
+    """
+    if kind == "int" and bool(np.all(valid[1:] >= valid[:-1])):
+        starts = np.flatnonzero(np.concatenate(([True], valid[1:] != valid[:-1])))
+        return valid[starts], np.diff(np.append(starts, valid.size))
+    return np.unique(valid, return_counts=True)
+
+
 def _top_values(
     distinct: np.ndarray, counts: np.ndarray, most_common: int
 ) -> tuple[tuple[Any, int], ...]:
     """Top-k (value, count) pairs: highest count first, value ascending on ties.
 
-    ``distinct`` comes from ``np.unique`` so it is already value-ascending;
-    a stable sort on descending count preserves that tie order.
+    ``distinct`` comes from :func:`_distinct_counts` so it is already
+    value-ascending; a stable sort on descending count preserves that tie
+    order.
     """
     order = np.argsort(-counts, kind="stable")[:most_common]
     return tuple((distinct[i].item(), int(counts[i])) for i in order)

@@ -1,5 +1,7 @@
 """Tests for the markdown report generator."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.report import generate_report
@@ -44,6 +46,15 @@ class TestReportContent:
 
     def test_anomaly_scan_includes_day14(self, report_text):
         assert "2019-01-14" in report_text
+
+
+class TestGoldenReport:
+    def test_seed_2019_report_equals_committed_study_report(self, report_text):
+        # STUDY_REPORT.md is what `make report` writes for the seed-2019
+        # chains; any drift in simulation, windows, metrics or rendering
+        # shows up here as a byte difference.
+        committed = Path(__file__).resolve().parents[2] / "STUDY_REPORT.md"
+        assert report_text.encode("utf-8") == committed.read_bytes()
 
 
 class TestReportFile:

@@ -166,6 +166,47 @@ class TestMcvLookupProperties:
         assert stats.mcv_count(probe) == linear_mcv_count(most_common, probe)
 
 
+def unique_reference(values, most_common):
+    """Int-column statistics the sort-based way: ``np.unique`` plus ranking."""
+    distinct, counts = np.unique(values, return_counts=True)
+    ranked = sorted(zip(distinct.tolist(), counts.tolist()), key=lambda vc: (-vc[1], vc[0]))
+    return (
+        int(distinct.size),
+        float(distinct.min()),
+        float(distinct.max()),
+        tuple(ranked[:most_common]),
+    )
+
+
+#: Int columns with repeats, a single repeated value, and wide values.
+INT_COLUMNS = st.one_of(
+    st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=60),
+    st.integers(min_value=-3, max_value=3).flatmap(
+        lambda v: st.lists(st.just(v), min_size=1, max_size=20)
+    ),
+    st.lists(st.integers(min_value=-(2**62), max_value=2**62), min_size=1, max_size=30),
+)
+
+
+class TestSortedIntStatistics:
+    @given(INT_COLUMNS, st.integers(min_value=1, max_value=12), st.data())
+    @settings(max_examples=200)
+    def test_sorted_and_shuffled_columns_equal_np_unique(self, values, k, data):
+        ordered = sorted(values)
+        shuffled = data.draw(st.permutations(ordered))
+        reference = unique_reference(np.array(values, dtype=np.int64), k)
+        for column in (ordered, shuffled):
+            table = Table({"x": np.array(column, dtype=np.int64)})
+            stats = collect_statistics(table, most_common=k).column("x")
+            assert stats.kind == "int"
+            got = (stats.n_distinct, stats.min_value, stats.max_value, stats.most_common)
+            assert got == reference
+            assert all(
+                type(value) is int and type(count) is int
+                for value, count in stats.most_common
+            )
+
+
 class TestEncodedStatistics:
     def test_counts_only_categories_that_occur(self):
         column = Column.from_codes([2, 2, 0, 2, 0, 3], ["b", "unused", "a", "c"])

@@ -12,18 +12,6 @@ import pytest
 from repro.cli import build_parser, main
 
 
-def write_bench_file(path, medians):
-    """A minimal pytest-benchmark JSON file: name -> headline median."""
-    payload = {
-        "benchmarks": [
-            {"name": name, "stats": {"median": median}, "extra_info": {}}
-            for name, median in medians.items()
-        ]
-    }
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    return str(path)
-
-
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -223,26 +211,6 @@ class TestExitCodes:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
-    def test_bench_diff_missing_file(self, tmp_path, capsys):
-        old = write_bench_file(tmp_path / "old.json", {"t": 1.0})
-        code = main(["bench-diff", old, str(tmp_path / "nope.json")])
-        assert code == 1
-        assert "error" in capsys.readouterr().err
-
-    def test_bench_diff_malformed_file(self, tmp_path, capsys):
-        old = write_bench_file(tmp_path / "old.json", {"t": 1.0})
-        bad = tmp_path / "bad.json"
-        bad.write_text("{broken", encoding="utf-8")
-        code = main(["bench-diff", old, str(bad)])
-        assert code == 1
-        assert "not valid JSON" in capsys.readouterr().err
-
-    def test_bench_diff_fail_over_must_exceed_one(self, tmp_path, capsys):
-        old = write_bench_file(tmp_path / "old.json", {"t": 1.0})
-        code = main(["bench-diff", old, old, "--fail-over", "0.5"])
-        assert code == 2
-        assert "--fail-over" in capsys.readouterr().err
-
 
 class TestTracing:
     def test_trace_flag_writes_chrome_trace(self, tmp_path, capsys):
@@ -367,50 +335,6 @@ class TestMeasureFaultInjection:
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
-
-
-class TestBenchDiff:
-    def test_identical_runs_pass_the_gate(self, tmp_path, capsys):
-        path = write_bench_file(tmp_path / "bench.json", {"t_sweep": 0.5})
-        code = main(["bench-diff", path, path, "--fail-over", "1.25"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "1.00x" in out
-        assert "ok: no median regressed past 1.25x" in out
-
-    def test_regression_past_tolerance_fails(self, tmp_path, capsys):
-        old = write_bench_file(tmp_path / "old.json", {"t_sweep": 0.1})
-        new = write_bench_file(tmp_path / "new.json", {"t_sweep": 0.2})
-        code = main(["bench-diff", old, new, "--fail-over", "1.25"])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert "REGRESSED" in captured.out
-        assert "t_sweep at 2.00x" in captured.err
-
-    def test_without_fail_over_the_diff_is_informational(self, tmp_path, capsys):
-        old = write_bench_file(tmp_path / "old.json", {"t_sweep": 0.1})
-        new = write_bench_file(tmp_path / "new.json", {"t_sweep": 0.4})
-        code = main(["bench-diff", old, new])
-        assert code == 0
-        assert "4.00x" in capsys.readouterr().out
-
-    def test_improvement_passes_and_is_flagged(self, tmp_path, capsys):
-        old = write_bench_file(tmp_path / "old.json", {"t_sweep": 0.4})
-        new = write_bench_file(tmp_path / "new.json", {"t_sweep": 0.1})
-        code = main(["bench-diff", old, new, "--fail-over", "1.25"])
-        assert code == 0
-        assert "faster" in capsys.readouterr().out
-
-    def test_committed_baseline_self_diff_is_clean(self, capsys):
-        from pathlib import Path
-
-        baseline = str(
-            Path(__file__).resolve().parents[1]
-            / "benchmarks" / "baselines" / "BENCH_pipeline_baseline.json"
-        )
-        code = main(["bench-diff", baseline, baseline, "--fail-over", "1.25"])
-        assert code == 0
-        assert "ok: no median regressed" in capsys.readouterr().out
 
 
 class TestExplainAnalyze:
