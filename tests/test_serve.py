@@ -239,6 +239,84 @@ class TestRunMonitor:
         assert result.evaluations == 0
 
 
+class TestPushTimingHistory:
+    """``monitor.push_seconds`` history holds every push, whenever it is
+    written: the same values as the timing histogram, in push order."""
+
+    @pytest.fixture
+    def stores(self, monkeypatch):
+        from repro.obs.timeseries import TimeSeriesStore
+
+        created = []
+
+        def capturing_store(*args, **kwargs):
+            created.append(TimeSeriesStore(*args, **kwargs))
+            return created[-1]
+
+        monkeypatch.setattr("repro.serve.monitor.TimeSeriesStore", capturing_store)
+        return created
+
+    @staticmethod
+    def assert_one_point_per_push(store, n_pushes):
+        timing = obs.get_tracer().metrics.timing("monitor.push_seconds")
+        points = store.raw_points("monitor.push_seconds")
+        assert timing.count == n_pushes
+        assert [value for _, value in points] == timing.dump_state()["samples"]
+        stamps = [ts for ts, _ in points]
+        assert stamps == sorted(stamps)
+
+    def test_raw_points_equal_the_histogram_observations(self, stores):
+        run_monitor(synthetic_feed(40), window_size=10, stride=5, total_blocks=40)
+        (store,) = stores
+        self.assert_one_point_per_push(store, 40)
+
+    def test_latency_slo_fires_at_the_first_evaluation(self, stores):
+        """Every push is slower than 0 s, so both burn-rate pairs of the
+        objective breach as soon as the first window is evaluated."""
+        from repro.obs.alerts import AlertSink
+        from repro.obs.slo import SLO
+
+        blocks_gauge = obs.get_tracer().metrics.gauge("monitor.blocks_ingested")
+        events = []
+
+        class Capture(AlertSink):
+            def emit(self, event):
+                events.append((blocks_gauge.value, event.rule, event.state,
+                               event.message))
+
+        result = run_monitor(
+            synthetic_feed(40),
+            window_size=10,
+            stride=5,
+            total_blocks=40,
+            slos=[SLO("push", "latency", 0.99, series="monitor.push_seconds",
+                      value=0.0)],
+            alert_sinks=[Capture()],
+            print_fn=lambda _line: None,
+        )
+        (store,) = stores
+        self.assert_one_point_per_push(store, 40)
+        assert (result.alerts_fired, result.alerts_resolved) == (2, 0)
+        assert events == [
+            (10.0, "slo:push:fast", "firing", "slo:push:fast: value=100"),
+            (10.0, "slo:push:slow", "firing", "slo:push:slow: value=100"),
+        ]
+
+    def test_stop_mid_stride_keeps_every_pushed_block(self, stores):
+        stop = threading.Event()
+
+        def feed():
+            for i, block in enumerate(synthetic_feed(40)):
+                if i == 13:
+                    stop.set()
+                yield block
+
+        result = run_monitor(feed(), window_size=10, stride=5, stop_event=stop)
+        (store,) = stores
+        assert (result.blocks, result.evaluations) == (13, 1)
+        self.assert_one_point_per_push(store, 13)
+
+
 class TestServedMonitor:
     def test_readyz_flips_after_first_window(self, tmp_path):
         """Acceptance: /readyz is 503 until the first window completes."""
