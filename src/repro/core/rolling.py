@@ -9,10 +9,16 @@ oldest block in O(producers-per-block).  The counts make removal exact:
 an entity leaves the window when its credit count reaches zero, not when
 a float subtraction happens to land within an epsilon of zero — which
 matters for fractional (1/k) weights.
+
+The per-slot totals live in :mod:`array` buffers (``int64`` counts,
+``float64`` weights): a push updates them as plain Python scalars, one
+pass over the block's producers with no numpy scalar indexing, and a
+read wraps them with ``np.frombuffer`` for one vectorized copy.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from typing import Sequence
 
@@ -30,46 +36,43 @@ class RollingHistogram:
         self.capacity = capacity
         self._slot_of: dict[str, int] = {}
         self._names: list[str] = []
-        self._weights = np.zeros(16, dtype=np.float64)
-        self._counts = np.zeros(16, dtype=np.int64)
-        self._ring: deque[tuple[tuple[int, ...], float]] = deque()
+        #: Per-slot credit weight and credit count, one entry per name ever seen.
+        self._weights = array("d")
+        self._counts = array("q")
+        self._ring: deque[tuple[list[int], float]] = deque()
         self._active = 0
-
-    def _slot(self, name: str) -> int:
-        slot = self._slot_of.get(name)
-        if slot is None:
-            slot = len(self._names)
-            self._slot_of[name] = slot
-            self._names.append(name)
-            if slot >= self._weights.shape[0]:
-                self._weights = np.concatenate(
-                    (self._weights, np.zeros(self._weights.shape[0]))
-                )
-                self._counts = np.concatenate(
-                    (self._counts, np.zeros(self._counts.shape[0], dtype=np.int64))
-                )
-        return slot
 
     def push(self, producers: Sequence[str], weight_each: float = 1.0) -> None:
         """Add one block's producers; evicts the oldest block when full."""
         if not producers:
             raise MeasurementError("a block needs at least one producer")
-        slots = tuple(self._slot(name) for name in producers)
-        for slot in slots:
-            if self._counts[slot] == 0:
+        slot_of, counts, weights = self._slot_of, self._counts, self._weights
+        slots = []
+        for name in producers:
+            slot = slot_of.get(name)
+            if slot is None:
+                slot = slot_of[name] = len(self._names)
+                self._names.append(name)
+                counts.append(0)
+                weights.append(0.0)
+            count = counts[slot]
+            if count == 0:
                 self._active += 1
-            self._counts[slot] += 1
-            self._weights[slot] += weight_each
-        self._ring.append((slots, weight_each))
-        if len(self._ring) > self.capacity:
-            old_slots, old_weight = self._ring.popleft()
+            counts[slot] = count + 1
+            weights[slot] += weight_each
+            slots.append(slot)
+        ring = self._ring
+        ring.append((slots, weight_each))
+        if len(ring) > self.capacity:
+            old_slots, old_weight = ring.popleft()
             for slot in old_slots:
-                self._counts[slot] -= 1
-                if self._counts[slot] == 0:
-                    self._weights[slot] = 0.0
+                count = counts[slot] - 1
+                counts[slot] = count
+                if count == 0:
+                    weights[slot] = 0.0
                     self._active -= 1
                 else:
-                    self._weights[slot] -= old_weight
+                    weights[slot] -= old_weight
 
     @property
     def n_blocks(self) -> int:
@@ -81,14 +84,16 @@ class RollingHistogram:
         """Entities holding non-zero credit in the window."""
         return self._active
 
+    def _present(self) -> np.ndarray:
+        """Mask of the slots holding credit, in slot (first-seen) order."""
+        return np.frombuffer(self._counts, dtype=np.int64) > 0
+
     def distribution(self) -> np.ndarray:
         """The window's per-entity credit totals (non-zero entries only)."""
-        used = self._weights[: len(self._names)]
-        return used[self._counts[: len(self._names)] > 0].copy()
+        return np.frombuffer(self._weights, dtype=np.float64)[self._present()]
 
     def distribution_with_entities(self) -> tuple[list[str], np.ndarray]:
         """Like :meth:`distribution`, with the matching entity names."""
-        counts = self._counts[: len(self._names)]
-        present = np.flatnonzero(counts > 0)
-        names = [self._names[int(i)] for i in present]
-        return names, self._weights[present].copy()
+        present = np.flatnonzero(self._present())
+        names = [self._names[i] for i in present.tolist()]
+        return names, np.frombuffer(self._weights, dtype=np.float64)[present]

@@ -32,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from repro.errors import ValidationError
 
@@ -100,6 +100,24 @@ class QuantileSketch:
         if slot < self.capacity:
             self._values[slot] = value
 
+    def add_many(self, values: Sequence[float]) -> None:
+        """Fold ``values`` in order: the same sample, ``seen`` and LCG state
+        as one :meth:`add` per value."""
+        kept = self._values
+        room = self.capacity - len(kept)
+        if room > 0:
+            kept.extend(values[:room])
+            self._seen = len(kept)
+            values = values[room:]
+        state, seen, capacity = self._state, self._seen, self.capacity
+        for value in values:
+            seen += 1
+            state = (state * 1103515245 + 12345) & 0x7FFFFFFF
+            slot = state % seen
+            if slot < capacity:
+                kept[slot] = value
+        self._state, self._seen = state, seen
+
     @property
     def seen(self) -> int:
         """Total values ever added (may exceed the retained sample)."""
@@ -141,6 +159,25 @@ class Bucket:
             self.maximum = value
         self.sketch.add(value)
 
+    def add_many(self, values: Sequence[float]) -> None:
+        """Fold ``values`` in order, as one :meth:`add` per value would.
+
+        The total is a sequential ``+=`` loop: ``sum()`` of floats is
+        compensated since Python 3.12 and would differ in the last bits.
+        ``min``/``max`` start from the running extreme, so ties and NaNs
+        resolve as the ``<``/``>`` tests of :meth:`add` do.
+        """
+        if not values:
+            return
+        self.count += len(values)
+        total = self.total
+        for value in values:
+            total += value
+        self.total = total
+        self.minimum = min(self.minimum, *values)
+        self.maximum = max(self.maximum, *values)
+        self.sketch.add_many(values)
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -177,23 +214,53 @@ class RollupLevel:
 
     def record(self, ts: float, value: float) -> None:
         """Fold one point into its bucket (out-of-order folds backwards)."""
-        start = ts - (ts % self.resolution)
-        if self._buckets and self._buckets[-1].start == start:
-            self._buckets[-1].add(value)
-            return
-        if self._buckets and start < self._buckets[-1].start:
-            # Late arrival: fold into the matching older bucket if it is
-            # still retained; points older than the window are dropped.
-            for bucket in reversed(self._buckets):
-                if bucket.start == start:
-                    bucket.add(value)
-                    return
-                if bucket.start < start:
-                    break
-            return
+        bucket = self._bucket_for(ts - (ts % self.resolution))
+        if bucket is not None:
+            bucket.add(value)
+
+    def record_many(self, timestamps: Sequence[float], values: Sequence[float]) -> None:
+        """Fold points in order, as one :meth:`record` per point would.
+
+        Each run of consecutive points that share a bucket start folds
+        into its bucket at once.  A NaN start never equals the previous
+        one, so it forms a run of its own, as it would a bucket.
+        """
+        resolution = self.resolution
+        current = None
+        begin = 0
+        for i, ts in enumerate(timestamps):
+            start = ts - (ts % resolution)
+            if start != current:
+                if i:
+                    self._fold(current, values[begin:i])
+                current, begin = start, i
+        if timestamps:
+            self._fold(current, values[begin:])
+
+    def _fold(self, start: float, values: Sequence[float]) -> None:
+        bucket = self._bucket_for(start)
+        if bucket is not None:
+            bucket.add_many(values)
+
+    def _bucket_for(self, start: float) -> Bucket | None:
+        """The bucket starting at ``start``: the newest, a retained older one
+        (a late arrival), a new one, or None when it is older than the
+        retained window (the point is dropped)."""
+        buckets = self._buckets
+        if buckets:
+            newest = buckets[-1]
+            if newest.start == start:
+                return newest
+            if start < newest.start:
+                for bucket in reversed(buckets):
+                    if bucket.start == start:
+                        return bucket
+                    if bucket.start < start:
+                        break
+                return None
         bucket = Bucket(start)
-        bucket.add(value)
-        self._buckets.append(bucket)
+        buckets.append(bucket)
+        return bucket
 
     def buckets(self, start: float | None = None, end: float | None = None) -> list[Bucket]:
         """Retained buckets overlapping ``[start, end]``, oldest first."""
@@ -245,6 +312,34 @@ class Series:
         self._count += 1
         for level in self.levels:
             level.record(ts, value)
+
+    def record_many(self, timestamps: Sequence[float], values: Sequence[float]) -> None:
+        """Append points in order, as one :meth:`record` per point would."""
+        n = len(timestamps)
+        if n != len(values):
+            raise ValidationError(f"{n} timestamps for {len(values)} values")
+        self._count += n
+        for level in self.levels:
+            level.record_many(timestamps, values)
+        capacity = self._capacity
+        room = capacity - len(self._ts)
+        if room > 0:  # still filling: _next == len(_ts)
+            self._ts.extend(timestamps[:room])
+            self._values.extend(values[:room])
+            self._next = len(self._ts) % capacity
+            timestamps, values = timestamps[room:], values[room:]
+        n = len(timestamps)
+        if n > capacity:  # only the newest ring-full survives
+            self._next = (self._next + n - capacity) % capacity
+            timestamps, values, n = timestamps[-capacity:], values[-capacity:], capacity
+        if n:
+            begin = self._next
+            head = min(n, capacity - begin)
+            self._ts[begin:begin + head] = timestamps[:head]
+            self._values[begin:begin + head] = values[:head]
+            self._ts[:n - head] = timestamps[head:]
+            self._values[:n - head] = values[head:]
+            self._next = (begin + n) % capacity
 
     @property
     def total_points(self) -> int:
@@ -328,6 +423,20 @@ class TimeSeriesStore:
         series = self.series(name, kind=kind)
         with self._lock:
             series.record(self._now() if ts is None else float(ts), float(value))
+
+    def record_many(self, name: str, timestamps: Sequence[float],
+                    values: Sequence[float], kind: str = "value") -> None:
+        """Append stamped points to ``name`` under one lock.
+
+        The store ends up as one :meth:`record` per ``(ts, value)`` pair,
+        in order, would leave it: the same raw ring, bucket aggregates and
+        quantile sketches.
+        """
+        series = self.series(name, kind=kind)
+        timestamps = list(map(float, timestamps))
+        values = list(map(float, values))
+        with self._lock:
+            series.record_many(timestamps, values)
 
     def recorder(self, name: str, kind: str = "value") -> Callable[[float], None]:
         """A single-argument callback recording into ``name``.

@@ -30,7 +30,7 @@ from repro.obs.alerts import (
     format_alert_event,
 )
 from repro.obs.slo import SLO, SLOEngine
-from repro.obs.timeseries import TimeSeriesStore
+from repro.obs.timeseries import DEFAULT_RAW_CAPACITY, TimeSeriesStore
 from repro.resilience.faults import FaultInjector
 from repro.resilience.supervisor import MonitorSupervisor
 from repro.serve.http import TelemetryServer
@@ -139,8 +139,16 @@ def run_monitor(
     manager; SLOs without history are refused.  The two progress gauges,
     ``monitor.blocks_ingested`` and ``monitor.lag_blocks``, move every
     block but record one history point per window evaluation (before the
-    alert rules run) and one at feed end; ``monitor.push_seconds`` keeps
-    one point per push.
+    alert rules run) and one at feed end.  ``monitor.push_seconds`` is
+    observed every push and keeps one history point per push, stamped
+    when the push ends, but the points reach the store in bulk
+    (:meth:`~repro.obs.timeseries.TimeSeriesStore.record_many`): at each
+    window evaluation before the alert rules run, before each
+    ``throttle`` wait, once 4,096 are pending, and when an ingest loop
+    ends.  A ``latency`` SLO therefore still judges every push, and a
+    mid-run read of the series lags by fewer than 4,096 pushes, and by
+    less than one stride once the first window is evaluated (by at most
+    one push when throttled).
 
     ``overload`` attaches the admission/rate-limit/shedding layer to the
     telemetry server (an :class:`~repro.serve.overload.OverloadConfig` is
@@ -214,10 +222,23 @@ def run_monitor(
     blocks_gauge = registry.gauge("monitor.blocks_ingested")
     lag_gauge = registry.gauge("monitor.lag_blocks")
     push_timing = registry.timing("monitor.push_seconds")
+    #: Push timings observed but not yet in the store, as parallel lists.
+    pending_ts: list[float] = []
+    pending_seconds: list[float] = []
     if store is not None:
-        # The progress gauges still move every block, but their history is
-        # written by record_progress(); the finally's set_history re-wires them.
-        blocks_gauge.history = lag_gauge.history = None
+        # The instruments still move every block, but their history is written
+        # by record_progress() and flush_push_timings(); the finally's
+        # set_history re-wires them.
+        blocks_gauge.history = lag_gauge.history = push_timing.history = None
+
+    def flush_push_timings() -> None:
+        """Write the pending push timings to the store in one call."""
+        if store is not None and pending_ts:
+            store.record_many(
+                "monitor.push_seconds", pending_ts, pending_seconds, kind="timing"
+            )
+            pending_ts.clear()
+            pending_seconds.clear()
 
     def record_progress() -> None:
         """One history point per progress gauge, at each evaluation and at
@@ -254,31 +275,49 @@ def run_monitor(
             queue.close()
 
     def ingest() -> None:
-        """One incarnation of the ingest loop over the shared source."""
-        for producers in source:
-            if stop_event.is_set():
-                logger.info("monitor stopping early at block %d", monitor.blocks_seen)
-                return
-            start = time.perf_counter()
-            evaluated = monitor.push(producers)
-            push_timing.observe(time.perf_counter() - start)
-            blocks_gauge.set(monitor.blocks_seen)
-            state.record_push(monitor.blocks_seen)
-            if total_blocks is not None:
-                lag_gauge.set(total_blocks - monitor.blocks_seen)
-            if evaluated:
-                record_progress()
-                latest = monitor.latest()
-                for name, value in latest.items():
-                    registry.gauge(f"monitor.latest.{name}").set(value)
-                    if store is not None:
-                        store.record(
-                            f"monitor.metric.{chain}.{name}", value, kind="metric"
-                        )
-                state.record_evaluation(latest)
-                run_alert_engine()
-            if throttle > 0.0 and queue is None:
-                stop_event.wait(throttle)
+        """One incarnation of the ingest loop over the shared source.
+
+        With history, each push's ``(store.now(), seconds)`` waits in the
+        pending lists until the next window evaluation, throttle wait or
+        full raw ring, and the ``finally`` writes what is left when the
+        loop ends (feed end, stop or crash).
+        """
+        now = store.now if store is not None else None
+        try:
+            for producers in source:
+                if stop_event.is_set():
+                    logger.info("monitor stopping early at block %d", monitor.blocks_seen)
+                    return
+                start = time.perf_counter()
+                evaluated = monitor.push(producers)
+                seconds = time.perf_counter() - start
+                push_timing.observe(seconds)
+                blocks = monitor.blocks_seen
+                blocks_gauge.set(blocks)
+                state.record_push(blocks)
+                if total_blocks is not None:
+                    lag_gauge.set(total_blocks - blocks)
+                if now is not None:
+                    pending_ts.append(now())
+                    pending_seconds.append(seconds)
+                    if evaluated or len(pending_ts) >= DEFAULT_RAW_CAPACITY:
+                        flush_push_timings()
+                if evaluated:
+                    record_progress()
+                    latest = monitor.latest()
+                    for name, value in latest.items():
+                        registry.gauge(f"monitor.latest.{name}").set(value)
+                        if store is not None:
+                            store.record(
+                                f"monitor.metric.{chain}.{name}", value, kind="metric"
+                            )
+                    state.record_evaluation(latest)
+                    run_alert_engine()
+                if throttle > 0.0 and queue is None:
+                    flush_push_timings()
+                    stop_event.wait(throttle)
+        finally:
+            flush_push_timings()
 
     try:
         if serve_port is not None:

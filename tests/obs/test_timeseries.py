@@ -2,12 +2,14 @@
 
 Covers the raw ring (wrap order, window filters), the rollup levels
 (bucket alignment, out-of-order folds, retention eviction), query level
-selection, the registry history hook, and — as a property test — that
+selection, the registry history hook, and — as property tests — that
 downsampled mean/count stay consistent with the raw points they
-summarize, including at retention boundaries.
+summarize, including at retention boundaries, and that a bulk
+``record_many`` leaves a store exactly as point-by-point ``record`` does.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from repro.errors import ValidationError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import (
+    DEFAULT_RAW_CAPACITY,
     Bucket,
     QuantileSketch,
     RollupLevel,
@@ -334,3 +337,103 @@ class TestBucketDict:
         assert d["mean"] == 2.0
         assert d["min"] == 1.0 and d["max"] == 3.0
         assert set(d) == {"ts", "count", "mean", "min", "max", "p50", "p95"}
+
+
+def _state(store: TimeSeriesStore, name: str):
+    """Everything a series holds, floats as hex so ``-0.0`` differs from ``0.0``."""
+    series = store._series[name]
+    levels = [
+        [
+            (b.start.hex(), b.count, b.total.hex(), b.minimum.hex(), b.maximum.hex(),
+             [v.hex() for v in b.sketch._values], b.sketch.seen, b.sketch._state)
+            for b in level.buckets()
+        ]
+        for level in series.levels
+    ]
+    raw = [(ts.hex(), value.hex()) for ts, value in series.raw_points()]
+    return raw, series.latest(), series.total_points, levels
+
+
+#: Steps between points: repeats, sub-bucket moves, exact bucket lengths,
+#: late points (one or more buckets back) and points older than retention.
+_STEPS = (0.0, 0.004, 0.3, 1.0, 2.5, -0.7, -3.0, -40.0)
+
+
+@st.composite
+def _stamped_batches(draw):
+    """Batches of ``(ts, value)`` points from a random walk over time."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    ts = draw(st.sampled_from((0.0, 0.999, 1_700_000_000.0)))
+    batches = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        runs = draw(st.lists(
+            st.tuples(st.sampled_from(_STEPS), st.integers(min_value=1, max_value=90)),
+            max_size=4,
+        ))
+        batch = []
+        for step, repeat in runs:
+            for _ in range(repeat):
+                ts += step
+                value = rng.choice((0.0, -0.0, 2.5, rng.uniform(-1e3, 1e3)))
+                batch.append((ts, value))
+        batches.append(batch)
+    return batches
+
+
+class TestRecordMany:
+    """``record_many`` equals one ``record`` per point on a twin store."""
+
+    LEVELS = ((1.0, 4.0), (5.0, 20.0))  # four buckets each, so eviction is common
+
+    @staticmethod
+    def twins(raw_capacity, levels):
+        return (
+            TimeSeriesStore(raw_capacity=raw_capacity, levels=levels, clock=lambda: 0.0)
+            for _ in range(2)
+        )
+
+    @staticmethod
+    def feed(bulk, single, batch):
+        bulk.record_many("m", [ts for ts, _ in batch], [v for _, v in batch])
+        for ts, value in batch:
+            single.record("m", value, ts=ts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(batches=_stamped_batches(), raw_capacity=st.sampled_from((1, 3, 16, 64)))
+    def test_bulk_equals_point_by_point(self, batches, raw_capacity):
+        bulk, single = self.twins(raw_capacity, self.LEVELS)
+        for batch in batches:
+            self.feed(bulk, single, batch)
+            if single.series_names():
+                assert _state(bulk, "m") == _state(single, "m")
+
+    def test_wraps_the_default_ring_and_fills_every_reservoir(self):
+        bulk, single = self.twins(DEFAULT_RAW_CAPACITY, ((60.0, 6 * 3600.0),))
+        rng = random.Random(7)
+        ts = 1_700_000_000.0
+        for size in (4095, 1, 4097, 300, 9000, 0, 64):
+            batch = []
+            for _ in range(size):
+                ts += 0.013
+                batch.append((ts, rng.expovariate(1e4)))
+            self.feed(bulk, single, batch)
+        assert single.raw_points("m") == bulk.raw_points("m")
+        assert len(bulk.raw_points("m")) == DEFAULT_RAW_CAPACITY
+        assert _state(bulk, "m") == _state(single, "m")
+
+    def test_nan_timestamps_and_values_fold_as_single_records(self):
+        nan = float("nan")
+        batch = [(0.5, 1.0), (nan, 2.0), (0.6, nan), (0.7, -1.0), (nan, nan), (0.2, 3.0)]
+        bulk, single = self.twins(8, self.LEVELS)
+        self.feed(bulk, single, batch)
+        assert _state(bulk, "m") == _state(single, "m")
+
+    def test_values_are_stored_as_floats(self):
+        bulk, single = self.twins(8, self.LEVELS)
+        self.feed(bulk, single, [(1, 2), (3, True)])
+        assert _state(bulk, "m") == _state(single, "m")
+
+    def test_length_mismatch_rejected(self):
+        store = TimeSeriesStore()
+        with pytest.raises(ValidationError, match="2 timestamps for 1 values"):
+            store.record_many("m", [0.0, 1.0], [5.0])

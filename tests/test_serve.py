@@ -170,6 +170,21 @@ class TestTelemetryServer:
             )
 
 
+@pytest.fixture
+def stores(monkeypatch):
+    """Every history store ``run_monitor`` creates, in creation order."""
+    from repro.obs.timeseries import TimeSeriesStore
+
+    created = []
+
+    def capturing_store(*args, **kwargs):
+        created.append(TimeSeriesStore(*args, **kwargs))
+        return created[-1]
+
+    monkeypatch.setattr("repro.serve.monitor.TimeSeriesStore", capturing_store)
+    return created
+
+
 def synthetic_feed(n_blocks: int, n_producers: int = 5):
     """Round-robin producers: perfectly even, low gini, high entropy."""
     for i in range(n_blocks):
@@ -207,18 +222,9 @@ class TestRunMonitor:
         assert snap["gauges"]["monitor.latest.gini"] >= 0.0
         assert snap["timings"]["monitor.push_seconds"]["count"] == 40
 
-    def test_progress_gauges_record_history_once_per_evaluation(self, monkeypatch):
+    def test_progress_gauges_record_history_once_per_evaluation(self, stores):
         """The progress gauges' history holds one point per window
         evaluation plus one at feed end; the push timing keeps one per push."""
-        from repro.obs.timeseries import TimeSeriesStore
-
-        stores = []
-
-        def capturing_store(*args, **kwargs):
-            stores.append(TimeSeriesStore(*args, **kwargs))
-            return stores[-1]
-
-        monkeypatch.setattr("repro.serve.monitor.TimeSeriesStore", capturing_store)
         run_monitor(synthetic_feed(40), window_size=10, stride=5, total_blocks=40)
         (store,) = stores
 
@@ -242,19 +248,6 @@ class TestRunMonitor:
 class TestPushTimingHistory:
     """``monitor.push_seconds`` history holds every push, whenever it is
     written: the same values as the timing histogram, in push order."""
-
-    @pytest.fixture
-    def stores(self, monkeypatch):
-        from repro.obs.timeseries import TimeSeriesStore
-
-        created = []
-
-        def capturing_store(*args, **kwargs):
-            created.append(TimeSeriesStore(*args, **kwargs))
-            return created[-1]
-
-        monkeypatch.setattr("repro.serve.monitor.TimeSeriesStore", capturing_store)
-        return created
 
     @staticmethod
     def assert_one_point_per_push(store, n_pushes):
