@@ -90,19 +90,12 @@ class QuantileSketch:
 
     def add(self, value: float) -> None:
         """Fold one value into the sketch."""
-        self._seen += 1
-        if len(self._values) < self.capacity:
-            self._values.append(value)
-            return
-        # Deterministic LCG draw in [0, seen): classic reservoir rule.
-        self._state = (self._state * 1103515245 + 12345) & 0x7FFFFFFF
-        slot = self._state % self._seen
-        if slot < self.capacity:
-            self._values[slot] = value
+        self.add_many((value,))
 
     def add_many(self, values: Sequence[float]) -> None:
-        """Fold ``values`` in order: the same sample, ``seen`` and LCG state
-        as one :meth:`add` per value."""
+        """Fold ``values`` in order: fill the sample to ``capacity``, then
+        replace a slot when a deterministic LCG draw in ``[0, seen)`` lands
+        in it (the classic reservoir rule)."""
         kept = self._values
         room = self.capacity - len(kept)
         if room > 0:
@@ -151,21 +144,16 @@ class Bucket:
         self.sketch = QuantileSketch()
 
     def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-        self.sketch.add(value)
+        self.add_many((value,))
 
     def add_many(self, values: Sequence[float]) -> None:
-        """Fold ``values`` in order, as one :meth:`add` per value would.
+        """Fold ``values`` in order.
 
-        The total is a sequential ``+=`` loop: ``sum()`` of floats is
-        compensated since Python 3.12 and would differ in the last bits.
-        ``min``/``max`` start from the running extreme, so ties and NaNs
-        resolve as the ``<``/``>`` tests of :meth:`add` do.
+        The total is a sequential ``+=`` loop, so a batch sums exactly as
+        its points would one at a time: ``sum()`` of floats is compensated
+        since Python 3.12 and would differ in the last bits.  ``min``/``max``
+        start from the running extreme and replace it only on a strict
+        ``<``/``>``, so a NaN never becomes an extreme.
         """
         if not values:
             return
@@ -214,33 +202,31 @@ class RollupLevel:
 
     def record(self, ts: float, value: float) -> None:
         """Fold one point into its bucket (out-of-order folds backwards)."""
-        bucket = self._bucket_for(ts - (ts % self.resolution))
-        if bucket is not None:
-            bucket.add(value)
+        self.record_many((ts,), (value,))
 
     def record_many(self, timestamps: Sequence[float], values: Sequence[float]) -> None:
-        """Fold points in order, as one :meth:`record` per point would.
+        """Fold points in order, each into its bucket.
 
         Each run of consecutive points that share a bucket start folds
         into its bucket at once.  A NaN start never equals the previous
         one, so it forms a run of its own, as it would a bucket.
         """
         resolution = self.resolution
-        current = None
+        n = len(timestamps)
         begin = 0
-        for i, ts in enumerate(timestamps):
+        while begin < n:
+            ts = timestamps[begin]
             start = ts - (ts % resolution)
-            if start != current:
-                if i:
-                    self._fold(current, values[begin:i])
-                current, begin = start, i
-        if timestamps:
-            self._fold(current, values[begin:])
-
-    def _fold(self, start: float, values: Sequence[float]) -> None:
-        bucket = self._bucket_for(start)
-        if bucket is not None:
-            bucket.add_many(values)
+            end = begin + 1
+            while end < n:
+                ts = timestamps[end]
+                if ts - (ts % resolution) != start:
+                    break
+                end += 1
+            bucket = self._bucket_for(start)
+            if bucket is not None:
+                bucket.add_many(values[begin:end])
+            begin = end
 
     def _bucket_for(self, start: float) -> Bucket | None:
         """The bucket starting at ``start``: the newest, a retained older one
@@ -302,19 +288,11 @@ class Series:
         self.levels = [RollupLevel(res, ret) for res, ret in levels]
 
     def record(self, ts: float, value: float) -> None:
-        if len(self._ts) < self._capacity:
-            self._ts.append(ts)
-            self._values.append(value)
-        else:
-            self._ts[self._next] = ts
-            self._values[self._next] = value
-        self._next = (self._next + 1) % self._capacity
-        self._count += 1
-        for level in self.levels:
-            level.record(ts, value)
+        self.record_many((ts,), (value,))
 
     def record_many(self, timestamps: Sequence[float], values: Sequence[float]) -> None:
-        """Append points in order, as one :meth:`record` per point would."""
+        """Append points in order: the raw ring keeps the newest ``capacity``,
+        and every point folds into each rollup level."""
         n = len(timestamps)
         if n != len(values):
             raise ValidationError(f"{n} timestamps for {len(values)} values")

@@ -143,12 +143,14 @@ def run_monitor(
     observed every push and keeps one history point per push, stamped
     when the push ends, but the points reach the store in bulk
     (:meth:`~repro.obs.timeseries.TimeSeriesStore.record_many`): at each
-    window evaluation before the alert rules run, before each
-    ``throttle`` wait, once 4,096 are pending, and when an ingest loop
-    ends.  A ``latency`` SLO therefore still judges every push, and a
-    mid-run read of the series lags by fewer than 4,096 pushes, and by
-    less than one stride once the first window is evaluated (by at most
-    one push when throttled).
+    window evaluation before the alert rules run, once 4,096 are pending,
+    after every push when ``throttle`` is set (with or without an ingest
+    queue), and when an ingest loop ends.  A ``latency`` SLO therefore
+    still judges every push at each evaluation.  A mid-run read of the
+    series, or of ``/status``'s ``slo`` section (which evaluates the SLOs
+    when asked), lags by fewer than 4,096 pushes, and by less than one
+    stride once the first window is evaluated (by at most the push in
+    flight when throttled).
 
     ``overload`` attaches the admission/rate-limit/shedding layer to the
     telemetry server (an :class:`~repro.serve.overload.OverloadConfig` is
@@ -278,9 +280,9 @@ def run_monitor(
         """One incarnation of the ingest loop over the shared source.
 
         With history, each push's ``(store.now(), seconds)`` waits in the
-        pending lists until the next window evaluation, throttle wait or
-        full raw ring, and the ``finally`` writes what is left when the
-        loop ends (feed end, stop or crash).
+        pending lists until the next window evaluation or full raw ring
+        (written at once when ``throttle`` is set), and the ``finally``
+        writes what is left when the loop ends (feed end, stop or crash).
         """
         now = store.now if store is not None else None
         try:
@@ -300,7 +302,9 @@ def run_monitor(
                 if now is not None:
                     pending_ts.append(now())
                     pending_seconds.append(seconds)
-                    if evaluated or len(pending_ts) >= DEFAULT_RAW_CAPACITY:
+                    # Throttled (here or in the feeder), each push is written
+                    # as soon as it ends.
+                    if evaluated or throttle > 0.0 or len(pending_ts) >= DEFAULT_RAW_CAPACITY:
                         flush_push_timings()
                 if evaluated:
                     record_progress()
@@ -314,7 +318,6 @@ def run_monitor(
                     state.record_evaluation(latest)
                     run_alert_engine()
                 if throttle > 0.0 and queue is None:
-                    flush_push_timings()
                     stop_event.wait(throttle)
         finally:
             flush_push_timings()

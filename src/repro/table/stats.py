@@ -246,22 +246,11 @@ def _top_values(
     """Top-k (value, count) pairs: highest count first, value ascending on ties.
 
     ``distinct`` comes from :func:`_distinct_counts` so it is already
-    value-ascending.  A partition finds the k-th highest count; the values
-    above it (fewer than k) are ranked by a stable sort on descending
-    count, and the first values at it, in value order, fill the rest.
-    ``np.partition(-counts, ...)`` rather than ``np.partition(counts, n - k)``:
-    the latter is slow on columns whose counts are mostly equal.
+    value-ascending; a stable sort on descending count preserves that tie
+    order.
     """
-    k = min(most_common, counts.size)
-    if k <= 0:
-        return ()
-    threshold = -np.partition(-counts, k - 1)[k - 1]
-    above = np.flatnonzero(counts > threshold)
-    above = above[np.argsort(-counts[above], kind="stable")]
-    at = np.flatnonzero(counts == threshold)[: k - above.size]
-    return tuple(
-        (distinct[i].item(), int(counts[i])) for i in np.concatenate((above, at))
-    )
+    order = np.argsort(-counts, kind="stable")[:most_common]
+    return tuple((distinct[i].item(), int(counts[i])) for i in order)
 
 
 def _clamp(value: float) -> float:

@@ -10,6 +10,7 @@ summarize, including at retention boundaries, and that a bulk
 
 import math
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -354,6 +355,59 @@ def _state(store: TimeSeriesStore, name: str):
     return raw, series.latest(), series.total_points, levels
 
 
+def _reference_state(points, raw_capacity, levels):
+    """What a series holds after ``points``, worked out one point at a time
+    with none of the store's code, in the shape :func:`_state` returns.
+
+    The raw ring keeps the newest ``raw_capacity`` points.  At each level a
+    point whose bucket start is below the newest bucket's joins the newest
+    bucket starting at or before it when that bucket has its start, and is
+    dropped otherwise; any other point joins the newest bucket if it has
+    the same start, or opens a new one, and the oldest bucket goes when
+    the level is full.  A bucket sums with ``+=``, keeps strict ``<``/``>``
+    extremes and a 64-value reservoir whose replacements follow an LCG
+    draw in ``[0, seen)``.
+    """
+    points = [(float(ts), float(value)) for ts, value in points]
+    out_levels = []
+    for resolution, retention in levels:
+        buckets = deque(maxlen=max(int(retention // resolution), 1))
+        for ts, value in points:
+            start = ts - ts % resolution
+            if buckets and start < buckets[-1]["start"]:
+                bucket = next((b for b in reversed(buckets) if b["start"] <= start), None)
+                if bucket is None or bucket["start"] != start:
+                    continue
+            elif buckets and buckets[-1]["start"] == start:
+                bucket = buckets[-1]
+            else:
+                bucket = {"start": start, "count": 0, "total": 0.0, "min": math.inf,
+                          "max": -math.inf, "sample": [], "seen": 0, "state": 0x9E3779B9}
+                buckets.append(bucket)
+            bucket["count"] += 1
+            bucket["total"] += value
+            if value < bucket["min"]:
+                bucket["min"] = value
+            if value > bucket["max"]:
+                bucket["max"] = value
+            bucket["seen"] += 1
+            if len(bucket["sample"]) < 64:
+                bucket["sample"].append(value)
+            else:
+                bucket["state"] = (bucket["state"] * 1103515245 + 12345) & 0x7FFFFFFF
+                slot = bucket["state"] % bucket["seen"]
+                if slot < 64:
+                    bucket["sample"][slot] = value
+        out_levels.append([
+            (b["start"].hex(), b["count"], b["total"].hex(), b["min"].hex(),
+             b["max"].hex(), [v.hex() for v in b["sample"]], b["seen"], b["state"])
+            for b in buckets
+        ])
+    raw = [(ts.hex(), value.hex()) for ts, value in points[-raw_capacity:]]
+    latest = points[-1] if points else None
+    return raw, latest, len(points), out_levels
+
+
 #: Steps between points: repeats, sub-bucket moves, exact bucket lengths,
 #: late points (one or more buckets back) and points older than retention.
 _STEPS = (0.0, 0.004, 0.3, 1.0, 2.5, -0.7, -3.0, -40.0)
@@ -381,7 +435,8 @@ def _stamped_batches(draw):
 
 
 class TestRecordMany:
-    """``record_many`` equals one ``record`` per point on a twin store."""
+    """``record_many`` equals one ``record`` per point on a twin store, and
+    both equal the point-by-point reference :func:`_reference_state`."""
 
     LEVELS = ((1.0, 4.0), (5.0, 20.0))  # four buckets each, so eviction is common
 
@@ -402,24 +457,33 @@ class TestRecordMany:
     @given(batches=_stamped_batches(), raw_capacity=st.sampled_from((1, 3, 16, 64)))
     def test_bulk_equals_point_by_point(self, batches, raw_capacity):
         bulk, single = self.twins(raw_capacity, self.LEVELS)
+        points = []
         for batch in batches:
             self.feed(bulk, single, batch)
+            points.extend(batch)
             if single.series_names():
                 assert _state(bulk, "m") == _state(single, "m")
+                assert _state(bulk, "m") == _reference_state(
+                    points, raw_capacity, self.LEVELS
+                )
 
     def test_wraps_the_default_ring_and_fills_every_reservoir(self):
-        bulk, single = self.twins(DEFAULT_RAW_CAPACITY, ((60.0, 6 * 3600.0),))
+        levels = ((60.0, 6 * 3600.0),)
+        bulk, single = self.twins(DEFAULT_RAW_CAPACITY, levels)
         rng = random.Random(7)
         ts = 1_700_000_000.0
+        points = []
         for size in (4095, 1, 4097, 300, 9000, 0, 64):
             batch = []
             for _ in range(size):
                 ts += 0.013
                 batch.append((ts, rng.expovariate(1e4)))
             self.feed(bulk, single, batch)
+            points.extend(batch)
         assert single.raw_points("m") == bulk.raw_points("m")
         assert len(bulk.raw_points("m")) == DEFAULT_RAW_CAPACITY
         assert _state(bulk, "m") == _state(single, "m")
+        assert _state(bulk, "m") == _reference_state(points, DEFAULT_RAW_CAPACITY, levels)
 
     def test_nan_timestamps_and_values_fold_as_single_records(self):
         nan = float("nan")
@@ -427,11 +491,13 @@ class TestRecordMany:
         bulk, single = self.twins(8, self.LEVELS)
         self.feed(bulk, single, batch)
         assert _state(bulk, "m") == _state(single, "m")
+        assert _state(bulk, "m") == _reference_state(batch, 8, self.LEVELS)
 
     def test_values_are_stored_as_floats(self):
         bulk, single = self.twins(8, self.LEVELS)
         self.feed(bulk, single, [(1, 2), (3, True)])
         assert _state(bulk, "m") == _state(single, "m")
+        assert _state(bulk, "m") == _reference_state([(1, 2), (3, True)], 8, self.LEVELS)
 
     def test_length_mismatch_rejected(self):
         store = TimeSeriesStore()

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.table import Column, Table, collect_statistics
@@ -208,32 +208,7 @@ class TestSortedIntStatistics:
             )
 
 
-def argsort_top_values(distinct, counts, most_common):
-    """The MCV ranking as a stable sort of every distinct value by count."""
-    order = np.argsort(-counts, kind="stable")[:most_common]
-    return tuple((distinct[i].item(), int(counts[i])) for i in order)
-
-
 class TestTopValues:
-    @given(
-        st.one_of(
-            st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=40),
-            st.integers(min_value=1, max_value=50).flatmap(
-                lambda n: st.lists(st.just(n), min_size=1, max_size=30)
-            ),
-        ),
-        st.integers(min_value=0, max_value=15),
-    )
-    @settings(max_examples=300)
-    @example(counts=[3] * 4 + [2] * 12 + [1] * 5, k=10)  # ties straddle the 10th count
-    @example(counts=[7] * 25, k=10)
-    def test_equals_stable_argsort(self, counts, k):
-        counts = np.array(counts, dtype=np.int64)
-        distinct = np.arange(counts.size, dtype=np.int64) * 3 - 7  # value-ascending
-        got = _top_values(distinct, counts, k)
-        assert got == argsort_top_values(distinct, counts, k)
-        assert all(type(value) is int and type(count) is int for value, count in got)
-
     def test_ties_at_the_kth_count_keep_the_smallest_values(self):
         counts = np.array([1, 2, 5, 2, 2, 5, 2], dtype=np.int64)
         distinct = np.array([10, 20, 30, 40, 50, 60, 70], dtype=np.int64)

@@ -309,6 +309,31 @@ class TestPushTimingHistory:
         assert (result.blocks, result.evaluations) == (13, 1)
         self.assert_one_point_per_push(store, 13)
 
+    def test_throttled_queue_stores_each_push_before_the_next_block(self, stores):
+        """With an ingest queue the feeder thread does the throttling and
+        the ingest loop waits in the queue; the series, read mid-run before
+        any window is evaluated, still holds every finished push."""
+        stored = []
+
+        def feed():
+            for i, block in enumerate(synthetic_feed(6)):
+                if i:
+                    (store,) = stores
+                    wait_until(
+                        lambda: len(store.raw_points("monitor.push_seconds")) >= i,
+                        timeout=1.0,
+                    )
+                    stored.append(len(store.raw_points("monitor.push_seconds")))
+                yield block
+
+        result = run_monitor(
+            feed(), window_size=20, stride=5, throttle=0.01, ingest_queue=4
+        )
+        (store,) = stores
+        assert (result.blocks, result.evaluations) == (6, 0)
+        assert stored == [1, 2, 3, 4, 5]
+        self.assert_one_point_per_push(store, 6)
+
 
 class TestServedMonitor:
     def test_readyz_flips_after_first_window(self, tmp_path):
