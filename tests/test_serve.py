@@ -321,7 +321,7 @@ class TestPushTimingHistory:
                     (store,) = stores
                     wait_until(
                         lambda: len(store.raw_points("monitor.push_seconds")) >= i,
-                        timeout=1.0,
+                        timeout=5.0,
                     )
                     stored.append(len(store.raw_points("monitor.push_seconds")))
                 yield block
