@@ -277,8 +277,43 @@ class TestMonitorCommand:
         out = capsys.readouterr().out
         assert "monitored" in out
 
+    def test_ethereum_prefix_summary_is_pinned(self, capsys):
+        # The benchmark's ETH replay: its summary must not move however
+        # the replayed prefix is produced.
+        code = main(
+            ["--seed", "1", "monitor", "--chain", "ethereum",
+             "--window", "6000", "--blocks", "80000"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "monitoring ethereum: window=6000 stride=3000 blocks=80000",
+            "monitored 80000 blocks: 25 evaluations, 0 fired/0 resolved",
+            "latest: entropy=3.4360, gini=0.8661, nakamoto=3.0000",
+        ]
+
 
 class TestChaosCommand:
+    def test_ethereum_drill_stdout_is_pinned(self, capsys):
+        # The CI chaos-smoke ETH drill, byte for byte.
+        code = main(
+            ["chaos", "--seed", "7", "--chain", "ethereum", "--blocks", "2048",
+             "--faults", "read_error:rate=0.3;truncate_page:rate=0.2;"
+             "duplicate_page:rate=0.2;malformed_block:rate=0.1"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "chaos drill: ethereum prefix of 2048 blocks, seed=7, "
+            "faults=read_error;truncate_page;duplicate_page;malformed_block",
+            "faults fired: malformed_block x1",
+            "integrity: 2 issue(s) detected, 1 refetched, 0 interpolated, "
+            "0 dropped, 0 deduplicated",
+            "metric series: 4 attribution policies x 3 metrics "
+            "over sliding-6000 compared byte-for-byte",
+            "cache: corrupted partition caught by checksum and rebuilt",
+            "OK: recovery byte-identical across 1 fault class(es) "
+            "(+ cache corruption healed)",
+        ]
+
     def test_seeded_drill_recovers_byte_identically(self, capsys):
         code = main(["chaos", "--seed", "7", "--blocks", "2048",
                      "--page-size", "256"])
