@@ -37,7 +37,7 @@ from repro.core.comparison import LevelComparison, compare_level
 from repro.core.engine import MeasurementEngine
 from repro.core.series import MeasurementSeries
 from repro.core.summary import summarize
-from repro.errors import MeasurementError
+from repro.errors import MeasurementError, SimulationError
 from repro.parallel import WorkerPool, resolve_workers, worker_payload
 from repro.simulation.scenarios import simulate_bitcoin_2019, simulate_ethereum_2019
 from repro.table import Table, concat
@@ -101,10 +101,10 @@ class ChainStudy:
     events: tuple[Event, ...]
 
 
-def _simulate(which: str, seed: int) -> Chain:
+def _simulate(which: str, seed: int, blocks: int | None = None) -> Chain:
     if which == "btc":
-        return simulate_bitcoin_2019(seed=seed)
-    return simulate_ethereum_2019(seed=seed)
+        return simulate_bitcoin_2019(seed=seed, blocks=blocks)
+    return simulate_ethereum_2019(seed=seed, blocks=blocks)
 
 
 def study_chain(
@@ -166,13 +166,27 @@ class DecentralizationStudy:
 
     # -- data access -----------------------------------------------------------
 
-    def chain(self, which: str) -> Chain:
-        """The Bitcoin (``"btc"``) or Ethereum (``"eth"``) dataset."""
+    def chain(self, which: str, blocks: int | None = None) -> Chain:
+        """The Bitcoin (``"btc"``) or Ethereum (``"eth"``) dataset.
+
+        ``blocks`` asks for its first that many blocks only.  A study that
+        holds the dataset slices it; otherwise only the days holding those
+        blocks are simulated (Bitcoin still draws its year: its
+        multi-coinbase payout addresses are numbered after the year's
+        singletons).  A prefix is never kept as the dataset.
+        """
         if which not in self._chains:
             raise MeasurementError(f"unknown chain {which!r}; use 'btc' or 'eth'")
-        if self._chains[which] is None:
-            self._chains[which] = _simulate(which, self._seed)
-        return self._chains[which]
+        if blocks is not None and blocks <= 0:
+            raise SimulationError(f"blocks must be positive, got {blocks}")
+        held = self._chains[which]
+        if blocks is not None:
+            if held is None:
+                return _simulate(which, self._seed, blocks)
+            return held.slice_blocks(0, blocks)
+        if held is None:
+            held = self._chains[which] = _simulate(which, self._seed)
+        return held
 
     def engine(self, which: str) -> MeasurementEngine:
         """A cached measurement engine for one chain."""

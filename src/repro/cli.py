@@ -293,7 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     monitor.add_argument(
         "--blocks", type=int, default=None,
-        help="replay only the first N blocks (default: the whole year)",
+        help="replay only the first N blocks (default: the whole year); "
+        "only the days holding them are simulated, except on bitcoin, whose "
+        "multi-coinbase payouts need the whole year drawn",
     )
     monitor.add_argument(
         "--serve", type=int, metavar="PORT", default=None,
@@ -444,7 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--chain", choices=sorted(_CHAIN_KEYS), default="bitcoin")
     chaos.add_argument(
         "--blocks", type=int, default=4096,
-        help="length of the chain prefix to drill on (default 4096)",
+        help="length of the chain prefix to drill on (default 4096); only "
+        "the days holding it are simulated, except on bitcoin, whose "
+        "multi-coinbase payouts need the whole year drawn",
     )
     chaos.add_argument(
         "--faults", metavar="SPEC", default=None,
@@ -911,13 +915,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     plan = parse_fault_spec(args.faults) if args.faults else FaultPlan.default()
 
     if _CHAIN_KEYS[args.chain] == "btc":
-        full, registry = simulate_bitcoin_2019(seed=args.seed), bitcoin_pools_2019()
+        prefix = simulate_bitcoin_2019(seed=args.seed, blocks=args.blocks)
+        registry = bitcoin_pools_2019()
     else:
-        full, registry = simulate_ethereum_2019(seed=args.seed), ethereum_pools_2019()
-    n = min(args.blocks, full.n_blocks)
-    source = chain_from_raw_blocks(full.spec, raw_blocks(full, 0, n))
+        prefix = simulate_ethereum_2019(seed=args.seed, blocks=args.blocks)
+        registry = ethereum_pools_2019()
+    source = chain_from_raw_blocks(prefix.spec, raw_blocks(prefix))
     print(
-        f"chaos drill: {source.spec.name} prefix of {n} blocks, "
+        f"chaos drill: {source.spec.name} prefix of {source.n_blocks} blocks, "
         f"seed={args.seed}, faults={';'.join(plan.kinds)}"
     )
 
@@ -1127,8 +1132,8 @@ def _cmd_monitor(study: DecentralizationStudy, args: argparse.Namespace) -> int:
             signal.signal(signum, lambda *_: stop_event.set())
     try:
         chain_key = _CHAIN_KEYS[args.chain]
-        chain = study.chain(chain_key)
-        total = chain.n_blocks if args.blocks is None else min(args.blocks, chain.n_blocks)
+        chain = study.chain(chain_key, args.blocks)
+        total = chain.n_blocks
         print(
             f"monitoring {chain.spec.name}: window={args.window} "
             f"stride={args.stride or max(args.window // 2, 1)} "
@@ -1136,7 +1141,7 @@ def _cmd_monitor(study: DecentralizationStudy, args: argparse.Namespace) -> int:
             flush=True,
         )
         result = run_monitor(
-            _block_feed(chain, args.blocks),
+            _block_feed(chain, None),
             args.window,
             args.stride,
             chain=chain.spec.name,

@@ -1,4 +1,4 @@
-"""The chain simulator: parameters in, a full 2019 :class:`Chain` out.
+"""The chain simulator: parameters in, a 2019 :class:`Chain` out.
 
 Pipeline per simulation:
 
@@ -11,6 +11,9 @@ Pipeline per simulation:
    drawing; multi-coinbase events append extra payout addresses to chosen
    blocks afterwards.
 6. CSR assembly into an immutable :class:`~repro.chain.chain.Chain`.
+
+A prefix of the chain (:meth:`ChainSimulator.run` with ``blocks``) runs
+steps 3-6 only through the day that holds its last block.
 """
 
 from __future__ import annotations
@@ -49,11 +52,24 @@ class ChainSimulator:
         base = 86_400.0 / spec.target_interval
         return base * np.exp(rng.normal(0.0, 0.01, size=DAYS_IN_2019))
 
-    def run(self) -> Chain:
-        """Simulate the full year and return the chain."""
+    def run(self, blocks: int | None = None) -> Chain:
+        """Simulate the year and return the chain, or its first ``blocks`` blocks.
+
+        The year's day counts are always drawn whole, one multinomial that
+        must sum to ``spec.block_count``; the per-day draws then stop after
+        the day that holds block ``blocks``.  Every day draws from the same
+        named random streams in day order, so the result equals
+        ``run().slice_blocks(0, blocks)`` in heights, timestamps, offsets
+        and each block's producer names.  Params with multi-coinbase events
+        (the Bitcoin scenario) still draw every day: their extra payout
+        addresses are minted and numbered after the whole year's
+        singletons.
+        """
         params = self.params
         spec = params.spec
-        with obs.span("simulate.run", chain=spec.name, seed=params.seed):
+        if blocks is not None and blocks <= 0:
+            raise SimulationError(f"blocks must be positive, got {blocks}")
+        with obs.span("simulate.run", chain=spec.name, seed=params.seed, blocks=blocks):
             with obs.span("simulate.difficulty"):
                 rates = self.daily_rates()
             with obs.span("simulate.arrivals"):
@@ -62,6 +78,12 @@ class ChainSimulator:
                     rates,
                     derive_rng(params.seed, "arrivals/daily-counts"),
                 )
+                total = int(counts.sum())
+                if total != spec.block_count:
+                    raise SimulationError(
+                        f"internal error: generated {total} blocks, "
+                        f"expected {spec.block_count}"
+                    )
             with obs.span("simulate.pool_schedule"):
                 schedule = HashrateSchedule(
                     params.registry,
@@ -75,12 +97,16 @@ class ChainSimulator:
                     tail=params.tail,
                     seed=params.seed,
                 )
+            # The days to draw: through the one holding block ``blocks``.
+            n_days = DAYS_IN_2019
+            if blocks is not None and not params.multi_coinbase_events:
+                n_days = min(int(np.searchsorted(np.cumsum(counts), blocks)) + 1, n_days)
             ts_rng = derive_rng(params.seed, "arrivals/timestamps")
             draw_rng = derive_rng(params.seed, "miners/draws")
             day_timestamps: list[np.ndarray] = []
             day_producers: list[np.ndarray] = []
-            with obs.span("simulate.draw_days", days=DAYS_IN_2019):
-                for day in range(DAYS_IN_2019):
+            with obs.span("simulate.draw_days", days=n_days):
+                for day in range(n_days):
                     n_blocks = int(counts[day])
                     timestamps_of_day = draw_timestamps_for_day(day, n_blocks, ts_rng)
                     day_timestamps.append(timestamps_of_day)
@@ -95,17 +121,13 @@ class ChainSimulator:
             with obs.span("simulate.assemble"):
                 timestamps = np.concatenate(day_timestamps)
                 base_producers = np.concatenate(day_producers)
-                total = int(counts.sum())
-                if total != spec.block_count:
-                    raise SimulationError(
-                        f"internal error: generated {total} blocks, "
-                        f"expected {spec.block_count}"
-                    )
-                heights = spec.start_height + np.arange(total, dtype=np.int64)
-                offsets, producer_ids = self._assemble_credits(
-                    base_producers, counts, population
+                heights = spec.start_height + np.arange(
+                    base_producers.shape[0], dtype=np.int64
                 )
-                return Chain(
+                offsets, producer_ids = self._assemble_credits(
+                    base_producers, counts[:n_days], population
+                )
+                chain = Chain(
                     spec,
                     heights,
                     timestamps,
@@ -113,6 +135,7 @@ class ChainSimulator:
                     producer_ids,
                     population.entity_names,
                 )
+            return chain if blocks is None else chain.slice_blocks(0, blocks)
 
     def _spike_overrides(
         self, timestamps: np.ndarray, base_shares: np.ndarray

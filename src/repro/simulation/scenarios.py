@@ -92,11 +92,21 @@ def ethereum_2019_params(seed: int = 2019) -> SimulationParams:
     )
 
 
-def simulate_bitcoin_2019(seed: int = 2019, include_anomalies: bool = True) -> Chain:
-    """Simulate the paper's Bitcoin 2019 dataset (54,231 blocks)."""
-    return ChainSimulator(bitcoin_2019_params(seed, include_anomalies)).run()
+def simulate_bitcoin_2019(
+    seed: int = 2019, include_anomalies: bool = True, blocks: int | None = None
+) -> Chain:
+    """Simulate the paper's Bitcoin 2019 dataset (54,231 blocks).
+
+    ``blocks`` keeps only the first that many; with the anomalies in, the
+    whole year is still drawn (see :meth:`ChainSimulator.run`).
+    """
+    return ChainSimulator(bitcoin_2019_params(seed, include_anomalies)).run(blocks)
 
 
-def simulate_ethereum_2019(seed: int = 2019) -> Chain:
-    """Simulate the paper's Ethereum 2019 dataset (2,204,650 blocks)."""
-    return ChainSimulator(ethereum_2019_params(seed)).run()
+def simulate_ethereum_2019(seed: int = 2019, blocks: int | None = None) -> Chain:
+    """Simulate the paper's Ethereum 2019 dataset (2,204,650 blocks).
+
+    ``blocks`` keeps only the first that many, drawing only the days that
+    hold them.
+    """
+    return ChainSimulator(ethereum_2019_params(seed)).run(blocks)

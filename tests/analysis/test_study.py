@@ -2,13 +2,14 @@
 
 import os
 
+import numpy as np
 import pytest
 
 from repro import obs
 from repro.analysis.report import generate_report
 from repro.analysis.study import DecentralizationStudy
 from repro.core.engine import MeasurementEngine
-from repro.errors import MeasurementError
+from repro.errors import MeasurementError, SimulationError
 from repro.parallel import pool_status
 
 
@@ -32,6 +33,17 @@ class TestDataAccess:
 
     def test_engine_cached(self, study):
         assert study.engine("btc") is study.engine("btc")
+
+    def test_prefix_slices_the_held_chain(self, study, eth_chain):
+        prefix = study.chain("eth", 5_000)
+        assert prefix.n_blocks == 5_000
+        assert np.shares_memory(prefix.heights, eth_chain.heights)
+        assert study.chain("eth") is eth_chain
+
+    @pytest.mark.parametrize("blocks", [0, -1])
+    def test_non_positive_prefix_rejected(self, study, blocks):
+        with pytest.raises(SimulationError, match="blocks must be positive"):
+            study.chain("eth", blocks)
 
 
 class TestFindings:
@@ -75,6 +87,14 @@ class TestLazySimulation:
         study = DecentralizationStudy(seed=5)
         chain = study.chain("btc")
         assert chain.n_blocks == 54_231
+
+    def test_prefix_is_never_kept_as_the_dataset(self):
+        study = DecentralizationStudy(seed=5)
+        prefix = study.chain("eth", 5_000)
+        year = study.chain("eth")
+        assert (prefix.n_blocks, year.n_blocks) == (5_000, 2_204_650)
+        assert study.chain("eth") is year
+        assert np.array_equal(prefix.timestamps, year.timestamps[:5_000])
 
 
 class TestChainFanOut:

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import obs
 from repro.chain.pools import PoolInfo, PoolRegistry
 from repro.chain.specs import ChainSpec
 from repro.errors import SimulationError
@@ -10,7 +13,8 @@ from repro.simulation.anomalies import MultiCoinbaseEvent, ShareSpike
 from repro.simulation.miners import TailConfig
 from repro.simulation.params import SimulationParams
 from repro.simulation.powsim import ChainSimulator
-from repro.util.timeutils import YEAR_2019_END, YEAR_2019_START
+from repro.simulation.scenarios import simulate_bitcoin_2019, simulate_ethereum_2019
+from repro.util.timeutils import SECONDS_PER_DAY, YEAR_2019_END, YEAR_2019_START
 
 SMALL_SPEC = ChainSpec(
     name="smallchain",
@@ -169,3 +173,81 @@ class TestParamsValidation:
         assert params.pool_index("B") == 1
         with pytest.raises(SimulationError):
             params.pool_index("Nope")
+
+
+def assert_prefix_of(prefix, year, k):
+    """``prefix`` is ``year.slice_blocks(0, k)``, producers compared by name."""
+    expected = year.slice_blocks(0, k)
+    assert np.array_equal(prefix.heights, expected.heights)
+    assert np.array_equal(prefix.timestamps, expected.timestamps)
+    assert np.array_equal(prefix.offsets, expected.offsets)
+    assert [prefix.producer_names[i] for i in prefix.producer_ids] == [
+        expected.producer_names[i] for i in expected.producer_ids
+    ]
+
+
+#: Params overrides for each kind of scenario a prefix must reproduce.
+PREFIX_SCENARIOS = {
+    "plain": {},
+    "share-spike": {
+        "share_spikes": (ShareSpike("C", start_day=40.5, n_days=2.0, factor=8.0),),
+    },
+    "multi-coinbase": {
+        "multi_coinbase_events": (
+            MultiCoinbaseEvent(day=50, position=0.5, n_addresses=30),
+        ),
+    },
+}
+
+
+class TestPrefix:
+    """``run(blocks=k)`` is the year's first ``k`` blocks."""
+
+    @pytest.mark.parametrize("scenario", sorted(PREFIX_SCENARIOS))
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**16), day=st.integers(0, 363))
+    def test_prefix_equals_slice_of_the_year(self, scenario, seed, day):
+        params = make_params(seed=seed, **PREFIX_SCENARIOS[scenario])
+        year = ChainSimulator(params).run()
+        n = year.n_blocks
+        day_of_block = (year.timestamps - YEAR_2019_START) // SECONDS_PER_DAY
+        # Blocks through ``day``: its last block, then the next day's first.
+        through_day = int(np.searchsorted(day_of_block, day, side="right"))
+        # A block inside the year's last day, however many blocks it holds.
+        inside_last_day = (int(np.searchsorted(day_of_block, 364)) + 1 + n) // 2
+        for k in (1, through_day, through_day + 1, inside_last_day, n - 1, n, n + 1):
+            if k < 1:
+                continue
+            assert_prefix_of(ChainSimulator(params).run(blocks=k), year, k)
+
+    def test_ethereum_benchmark_prefix(self):
+        year = simulate_ethereum_2019(seed=1)
+        prefix = simulate_ethereum_2019(seed=1, blocks=80_000)
+        assert prefix.n_blocks == 80_000
+        assert_prefix_of(prefix, year, 80_000)
+
+    @pytest.mark.parametrize("blocks", [0, -1])
+    def test_non_positive_blocks_rejected(self, blocks):
+        with pytest.raises(SimulationError, match="blocks must be positive"):
+            ChainSimulator(make_params()).run(blocks=blocks)
+
+    def test_trace_shows_the_days_drawn(self):
+        tracer = obs.enable_tracing()
+        try:
+            simulate_ethereum_2019(seed=1, blocks=80_000)
+            simulate_ethereum_2019(seed=1)
+            simulate_bitcoin_2019(seed=1, blocks=500)
+        finally:
+            obs.disable_tracing()
+        runs = sorted(
+            (s for s in tracer.spans if s.name == "simulate.run"), key=lambda s: s.start
+        )
+        draws = sorted(
+            (s for s in tracer.spans if s.name == "simulate.draw_days"),
+            key=lambda s: s.start,
+        )
+        assert [(s.attrs["chain"], s.attrs["blocks"]) for s in runs] == [
+            ("ethereum", 80_000), ("ethereum", None), ("bitcoin", 500),
+        ]
+        # Bitcoin's multi-coinbase events keep its whole year.
+        assert [s.attrs["days"] for s in draws] == [15, 365, 365]
