@@ -180,13 +180,12 @@ class DecentralizationStudy:
         if blocks is not None and blocks <= 0:
             raise SimulationError(f"blocks must be positive, got {blocks}")
         held = self._chains[which]
-        if blocks is not None:
-            if held is None:
-                return _simulate(which, self._seed, blocks)
-            return held.slice_blocks(0, blocks)
-        if held is None:
-            held = self._chains[which] = _simulate(which, self._seed)
-        return held
+        if held is not None:
+            return held if blocks is None else held.slice_blocks(0, blocks)
+        chain = _simulate(which, self._seed, blocks)
+        if blocks is None:
+            self._chains[which] = chain
+        return chain
 
     def engine(self, which: str) -> MeasurementEngine:
         """A cached measurement engine for one chain."""
