@@ -78,7 +78,7 @@ def test_disabled_profiling_overhead_under_budget(btc):
     def full_family():
         return [btc.measure_sliding("entropy", n) for n in (144, 1_008, 4_320)]
 
-    full_family()  # warm the sliding caches
+    full_family()  # warm-up run
 
     tracer = obs.enable_tracing()
     try:
@@ -103,13 +103,7 @@ def test_disabled_profiling_overhead_under_budget(btc):
 
 
 def test_enabled_profiling_attaches_resource_attrs(btc):
-    """Sanity: with profiling on, sweep spans carry cpu/rss samples.
-
-    Measures on a fresh engine over the ``btc`` fixture's credits: the
-    shared ``btc`` engine may already hold this sweep in its sliding cache
-    (other benchmark modules run it first), and a cache hit fires no sweep
-    span.
-    """
+    """Sanity: with profiling on, sweep spans carry cpu/rss samples."""
     engine = MeasurementEngine(btc.credits)
     tracer = obs.enable_tracing()
     profile.enable_profiling()

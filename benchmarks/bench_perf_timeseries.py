@@ -67,7 +67,7 @@ def test_detached_history_under_budget(btc):
     def full_family():
         return [btc.measure_sliding("entropy", n) for n in (144, 1_008, 4_320)]
 
-    full_family()  # warm the sliding caches, as in the perf benchmark
+    full_family()  # warm-up run, as in the perf benchmark
 
     tracer = obs.enable_tracing()
     try:

@@ -81,40 +81,13 @@ def _fixed_figure(
     )
 
 
-def _sliding_figure(
-    engine: MeasurementEngine,
-    metric: str,
-    sizes: tuple[int, int, int],
-    figure_id: str,
-    chain_label: str,
-) -> FigureResult:
-    series = {f"N={size}": engine.measure_sliding(metric, size) for size in sizes}
-    return _sliding_result(metric, series, sizes, figure_id, chain_label)
-
-
-def _sliding_result(
-    metric: str,
-    series: dict[str, MeasurementSeries],
-    sizes: tuple[int, int, int],
-    figure_id: str,
-    chain_label: str,
-) -> FigureResult:
-    notes = {f"mean_N={size}": series[f"N={size}"].mean() for size in sizes}
-    return FigureResult(
-        figure_id=figure_id,
-        title=f"{metric} measured in {chain_label} using sliding windows",
-        series=series,
-        notes=notes,
-    )
-
-
 def chain_sliding_suite(engine: MeasurementEngine, which: str) -> dict[str, FigureResult]:
     """One chain's sliding figures (Figs. 9/11/13 or 10/12/14), one sweep per size.
 
-    Instead of three independent sweeps (one per figure), each window size
-    is measured once with :meth:`MeasurementEngine.measure_sliding_many`
-    evaluating all three paper metrics over shared distributions — the
-    fast path the figure suite rides on.
+    Each window size is measured once with
+    :meth:`MeasurementEngine.measure_sliding_many`, evaluating all three
+    paper metrics over one set of histograms.  This is the only builder of
+    the sliding figures; ``figure_9`` ... ``figure_14`` pick from it.
     """
     chain_label, figure_of = _SLIDING_PLANS[which]
     sizes = SLIDING_SIZES[which]
@@ -126,8 +99,14 @@ def chain_sliding_suite(engine: MeasurementEngine, which: str) -> dict[str, Figu
         for metric, series in sweep.items():
             per_metric[metric][f"N={size}"] = series
     return {
-        figure_id: _sliding_result(
-            metric, per_metric[metric], sizes, figure_id, chain_label
+        figure_id: FigureResult(
+            figure_id=figure_id,
+            title=f"{metric} measured in {chain_label} using sliding windows",
+            series=per_metric[metric],
+            notes={
+                f"mean_N={size}": per_metric[metric][f"N={size}"].mean()
+                for size in sizes
+            },
         )
         for metric, figure_id in figure_of.items()
     }
@@ -225,32 +204,32 @@ def figure_8_from_counts(btc_blocks: int, eth_blocks: int) -> FigureResult:
 
 def figure_9(btc: MeasurementEngine) -> FigureResult:
     """Fig. 9: Shannon entropy in Bitcoin, sliding windows."""
-    return _sliding_figure(btc, "entropy", SLIDING_SIZES["btc"], "fig9", "Bitcoin")
+    return chain_sliding_suite(btc, "btc")["fig9"]
 
 
 def figure_10(eth: MeasurementEngine) -> FigureResult:
     """Fig. 10: Shannon entropy in Ethereum, sliding windows."""
-    return _sliding_figure(eth, "entropy", SLIDING_SIZES["eth"], "fig10", "Ethereum")
+    return chain_sliding_suite(eth, "eth")["fig10"]
 
 
 def figure_11(btc: MeasurementEngine) -> FigureResult:
     """Fig. 11: Gini coefficient in Bitcoin, sliding windows."""
-    return _sliding_figure(btc, "gini", SLIDING_SIZES["btc"], "fig11", "Bitcoin")
+    return chain_sliding_suite(btc, "btc")["fig11"]
 
 
 def figure_12(eth: MeasurementEngine) -> FigureResult:
     """Fig. 12: Gini coefficient in Ethereum, sliding windows."""
-    return _sliding_figure(eth, "gini", SLIDING_SIZES["eth"], "fig12", "Ethereum")
+    return chain_sliding_suite(eth, "eth")["fig12"]
 
 
 def figure_13(btc: MeasurementEngine) -> FigureResult:
     """Fig. 13: Nakamoto coefficient in Bitcoin, sliding windows."""
-    return _sliding_figure(btc, "nakamoto", SLIDING_SIZES["btc"], "fig13", "Bitcoin")
+    return chain_sliding_suite(btc, "btc")["fig13"]
 
 
 def figure_14(eth: MeasurementEngine) -> FigureResult:
     """Fig. 14: Nakamoto coefficient in Ethereum, sliding windows."""
-    return _sliding_figure(eth, "nakamoto", SLIDING_SIZES["eth"], "fig14", "Ethereum")
+    return chain_sliding_suite(eth, "eth")["fig14"]
 
 
 #: Figure ids in paper order, mapped to (generator, required engines).

@@ -25,7 +25,7 @@ are computed.  Four policies are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Final, Sequence
 
 import numpy as np
@@ -53,13 +53,11 @@ ATTRIBUTION_POLICIES: Final[tuple[str, ...]] = (
 _SPARSE_CROSSOVER: Final[int] = 4
 _SPARSE_MIN_ENTITIES: Final[int] = 16_384
 
-#: Upper bound on dense histogram matrix cells (segments x entities or
-#: windows x entities, ~64 MB of float64) before the incremental sliding
-#: path falls back to per-window slices.
+#: Upper bound on dense segment histogram cells (segments x entities,
+#: ~64 MB of float64) before the incremental sliding path falls back to
+#: per-window slices.  A sliding family never has more windows than
+#: segments, so its window matrix stays within the same bound.
 _SEGMENT_BUDGET: Final[int] = 8_000_000
-
-#: How many distinct step sizes to keep segment histograms for.
-_SEGMENT_CACHE_SLOTS: Final[int] = 4
 
 
 @dataclass
@@ -80,9 +78,6 @@ class Credits:
     timestamps: np.ndarray
     block_offsets: np.ndarray
     entity_names: Sequence[str]
-    #: Per-step segment histograms keyed by step size (see
-    #: :meth:`segment_histograms`); bounded LRU-ish cache, oldest evicted.
-    _segment_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_blocks(self) -> int:
@@ -159,23 +154,16 @@ class Credits:
         """Dense per-segment entity histograms for segments of ``step`` blocks.
 
         Row ``j`` holds the per-entity weight totals of block positions
-        ``[j*step, (j+1)*step)``; only full segments are materialized.  The
-        result is cached per ``step`` (the cache keeps the most recent
-        :data:`_SEGMENT_CACHE_SLOTS` steps), so one attribution pass serves
-        every sweep that shares a step — e.g. the gini, entropy and
-        nakamoto figures over the same window family.
+        ``[j*step, (j+1)*step)``; only full segments are materialized.  A
+        pure function of the credits: each call makes one pass over them
+        and nothing is kept between calls.
 
-        Returns ``None`` when the dense matrix would exceed the memory
-        budget (tiny steps over huge entity spaces); callers must then fall
-        back to the per-window slice path.
+        Returns ``None`` when no segment is full or the dense matrix would
+        exceed the memory budget (tiny steps over huge entity spaces);
+        callers must then fall back to the per-window slice path.
         """
         if step <= 0:
             raise AttributionError(f"step must be positive, got {step}")
-        cached = self._segment_cache.get(step)
-        if cached is not None:
-            obs.counter("attribution.segment_cache.hit")
-            return cached
-        obs.counter("attribution.segment_cache.miss")
         n_segments = self.n_blocks // step
         n_entities = self.n_entities
         if n_segments == 0 or n_segments * n_entities > _SEGMENT_BUDGET:
@@ -186,43 +174,40 @@ class Credits:
             rows_end = int(self.block_offsets[n_segments * step])
             segment_of = self.block_positions[:rows_end] // step
             keys = segment_of * n_entities + self.entity_ids[:rows_end]
-            histograms = np.bincount(
+            return np.bincount(
                 keys,
                 weights=self.weights[:rows_end],
                 minlength=n_segments * n_entities,
             ).reshape(n_segments, n_entities)
-        while len(self._segment_cache) >= _SEGMENT_CACHE_SLOTS:
-            self._segment_cache.pop(next(iter(self._segment_cache)))
-        self._segment_cache[step] = histograms
-        return histograms
 
     def sliding_histograms(self, size: int, step: int) -> np.ndarray | None:
         """Dense per-window histograms for the standard sliding family.
 
         Window ``i`` covers block positions ``[i*step, i*step + size)`` —
         exactly the family :class:`~repro.windows.sliding.SlidingBlockWindows`
-        generates.  Each window's histogram is derived from the shared
-        per-segment partial histograms (each credit row is touched once for
-        the whole sweep, instead of once per overlapping window), which is
-        what makes the sliding path O(credits) rather than O(L x N).
+        generates.  Each window's histogram is derived from the per-segment
+        partial histograms (each credit row is touched once for the whole
+        sweep, instead of once per overlapping window), which is what makes
+        the sliding path O(credits) rather than O(L x N).
 
-        Returns ``None`` when the family doesn't decompose into aligned
-        segments (``size % step != 0``) or the dense matrices would be too
-        large; callers fall back to the per-window slice path.
+        A family with no window (``size`` past the last block) is a
+        ``(0, n_entities)`` matrix.  Returns ``None`` when the family
+        doesn't decompose into aligned segments (``size % step != 0``) or
+        its segment matrix would exceed the memory budget; callers fall
+        back to the per-window slice path.
         """
         if size <= 0 or step <= 0:
             raise AttributionError("size and step must be positive")
-        if size % step != 0 or size > self.n_blocks:
-            return None
-        n_windows = (self.n_blocks - size) // step + 1
-        segments_per_window = size // step
-        if n_windows * self.n_entities > _SEGMENT_BUDGET:
+        if size > self.n_blocks:
+            return np.zeros((0, self.n_entities), dtype=np.float64)
+        if size % step != 0:
             return None
         segments = self.segment_histograms(step)
         if segments is None:
             return None
+        n_windows = (self.n_blocks - size) // step + 1
         windows = np.zeros((n_windows, self.n_entities), dtype=np.float64)
-        for j in range(segments_per_window):
+        for j in range(size // step):
             windows += segments[j : j + n_windows]
         return windows
 

@@ -144,8 +144,13 @@ class Chain:
 
     @property
     def n_producers(self) -> int:
-        """Number of distinct producer names."""
-        return len(self.producer_names)
+        """Number of distinct producers credited in these blocks.
+
+        Counts the ids that occur, not the name table: a slice keeps its
+        parent's whole table, so a prefix reports the same count however
+        it was made.
+        """
+        return int(np.count_nonzero(np.bincount(self.producer_ids)))
 
     @property
     def start_height(self) -> int:

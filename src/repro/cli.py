@@ -959,10 +959,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         faulted_engine = MeasurementEngine.from_chain(
             faulted.chain, attribution, registry, quality=report.as_dict()
         )
-        for metric in ("gini", "entropy", "nakamoto"):
-            a = clean_engine.measure_sliding(metric, window)
-            b = faulted_engine.measure_sliding(metric, window)
-            if a.values.tobytes() != b.values.tobytes():
+        metrics = ("gini", "entropy", "nakamoto")
+        a = clean_engine.measure_sliding_many(metrics, window)
+        b = faulted_engine.measure_sliding_many(metrics, window)
+        for metric in metrics:
+            if a[metric].values.tobytes() != b[metric].values.tobytes():
                 failures.append(f"{attribution}/{metric} series not byte-identical")
     print(
         "metric series: 4 attribution policies x 3 metrics "
@@ -998,13 +999,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 _FEED_CHUNK_BLOCKS = 4096
 
 
-def _block_feed(chain, limit: int | None) -> Iterator[list[str]]:
-    """Yield each block's producer names, optionally truncated to ``limit``.
+def _block_feed(chain) -> Iterator[list[str]]:
+    """Yield each block's producer names.
 
     Ids decode to names a chunk of blocks at a time (one ``tolist()`` and
     one pass through ``producer_names``); each block is then a list slice.
     """
-    n_blocks = chain.n_blocks if limit is None else min(limit, chain.n_blocks)
+    n_blocks = chain.n_blocks
     offsets, ids, names = chain.offsets, chain.producer_ids, chain.producer_names
     for first in range(0, n_blocks, _FEED_CHUNK_BLOCKS):
         last = min(first + _FEED_CHUNK_BLOCKS, n_blocks)
@@ -1141,7 +1142,7 @@ def _cmd_monitor(study: DecentralizationStudy, args: argparse.Namespace) -> int:
             flush=True,
         )
         result = run_monitor(
-            _block_feed(chain, None),
+            _block_feed(chain),
             args.window,
             args.stride,
             chain=chain.spec.name,

@@ -34,17 +34,11 @@ logger = logging.getLogger(__name__)
 class MeasurementEngine:
     """Computes decentralization series over one chain's credits."""
 
-    #: How many (size, step) sliding batches to keep per engine.
-    _SLIDING_CACHE_SLOTS = 8
-
     def __init__(self, credits: Credits, quality: dict | None = None) -> None:
         self.credits = credits
         #: Ingest data-quality report stamped onto every series this
         #: engine produces (``None`` for a clean/direct ingest).
         self.quality = quality
-        # (size, step) -> (batch, indices, labels, skipped); lets the figure
-        # suite evaluate gini/entropy/nakamoto over one shared sweep.
-        self._sliding_cache: dict[tuple[int, int], tuple] = {}
 
     @classmethod
     def from_chain(
@@ -170,9 +164,13 @@ class MeasurementEngine:
 
         Uses the incremental segment-histogram fast path when the family
         decomposes into aligned segments (``size % step == 0``, the
-        paper's M = N/2 always does); otherwise falls back to the generic
-        batched sweep.  ``workers`` is accepted for compatibility and
-        unused: the sweep always runs in-process.
+        paper's M = N/2 always does) and its dense histograms fit the
+        memory budget; otherwise falls back to the generic batched sweep
+        and logs which of the two ruled the fast path out.  A family with
+        no window is an empty series on the fast path.  Every call sweeps
+        afresh: sweep each family once for all the metrics it needs.
+        ``workers`` is accepted for compatibility and unused: the sweep
+        always runs in-process.
         """
         generator = SlidingBlockWindows(size, step)
         resolved = [get_metric(m) if isinstance(m, str) else m for m in metrics]
@@ -181,10 +179,15 @@ class MeasurementEngine:
             obs.counter("engine.sliding.fast_path")
             return fast
         obs.counter("engine.sliding.fallback")
+        cause = (
+            "size % step != 0"
+            if generator.size % generator.step
+            else "dense histograms over the memory budget"
+        )
         logger.warning(
             "sliding sweep size=%d step=%d fell off the incremental fast path "
-            "(size %% step != 0); using the generic per-window sweep",
-            generator.size, generator.step,
+            "(%s); using the generic per-window sweep",
+            generator.size, generator.step, cause,
         )
         windows = generator.generate(self.credits.n_blocks)
         return self.measure_many(
@@ -216,26 +219,11 @@ class MeasurementEngine:
     ) -> MeasurementSeries:
         """Count-based sliding windows (paper §III); ``step`` defaults to N/2.
 
-        Routes through the incremental fast path when available (see
-        :meth:`measure_sliding_many`); results match the per-window
-        reference loop.
+        One metric of :meth:`measure_sliding_many`, so the same fast path
+        or fallback applies; results match the per-window reference loop.
         """
         resolved = get_metric(metric) if isinstance(metric, str) else metric
-        generator = SlidingBlockWindows(size, step)
-        fast = self._measure_sliding_fast([resolved], generator)
-        if fast is not None:
-            obs.counter("engine.sliding.fast_path")
-            return fast[resolved.name]
-        obs.counter("engine.sliding.fallback")
-        logger.warning(
-            "sliding sweep size=%d step=%d fell off the incremental fast path "
-            "(size %% step != 0); using the generic per-window sweep",
-            generator.size, generator.step,
-        )
-        windows = generator.generate(self.credits.n_blocks)
-        return self.measure(
-            resolved, windows, window_desc=f"sliding-{generator.size}/{generator.step}"
-        )
+        return self.measure_sliding_many([resolved], size, step)[resolved.name]
 
     def measure_time_sliding(
         self,
@@ -282,41 +270,30 @@ class MeasurementEngine:
     ) -> dict[str, MeasurementSeries] | None:
         """The incremental sliding sweep, or ``None`` when it doesn't apply.
 
-        Derives every window's dense histogram from the credits' shared
-        segment partials (one attribution pass per step size) and hands
-        the whole sweep to the batched metric kernels.
+        Derives every window's dense histogram from per-segment partials
+        (one pass over the credits per call) and hands the whole sweep to
+        the batched metric kernels, once for all ``metrics``.
         """
         size, step = generator.size, generator.step
-        cached = self._sliding_cache.get((size, step))
-        if cached is None:
-            obs.counter("engine.sliding_cache.miss")
-            with obs.span("engine.sliding_sweep", size=size, step=step):
-                matrix = self.credits.sliding_histograms(size, step)
-            if matrix is None:
-                return None
-            n_windows = matrix.shape[0]
-            offsets = self.credits.block_offsets
-            starts = np.arange(n_windows, dtype=np.int64) * step
-            nonempty = offsets[starts + size] > offsets[starts]
-            indices = np.flatnonzero(nonempty)
-            labels = tuple(
-                f"blocks[{int(i) * step}:{int(i) * step + size}]" for i in indices
-            )
-            rows = matrix if bool(nonempty.all()) else matrix[nonempty]
-            batch = DistributionBatch.from_dense(rows)
-            cached = (batch, indices, labels, int(n_windows - indices.size))
-            while len(self._sliding_cache) >= self._SLIDING_CACHE_SLOTS:
-                self._sliding_cache.pop(next(iter(self._sliding_cache)))
-            self._sliding_cache[(size, step)] = cached
-        else:
-            obs.counter("engine.sliding_cache.hit")
-        batch, indices, labels, skipped = cached
+        with obs.span("engine.sliding_sweep", size=size, step=step):
+            matrix = self.credits.sliding_histograms(size, step)
+        if matrix is None:
+            return None
+        n_windows = matrix.shape[0]
+        offsets = self.credits.block_offsets
+        starts = np.arange(n_windows, dtype=np.int64) * step
+        nonempty = offsets[starts + size] > offsets[starts]
+        indices = np.flatnonzero(nonempty)
+        labels = tuple(
+            f"blocks[{int(i) * step}:{int(i) * step + size}]" for i in indices
+        )
+        rows = matrix if bool(nonempty.all()) else matrix[nonempty]
         return self._series_from_batch(
             metrics,
-            batch,
+            DistributionBatch.from_dense(rows),
             indices=indices,
             labels=labels,
-            skipped=skipped,
+            skipped=int(n_windows - indices.size),
             window_desc=f"sliding-{size}/{step}",
         )
 

@@ -156,7 +156,7 @@ class DistributionBatch:
             return cls(matrix)
         row_index, _ = np.nonzero(mask)
         values = matrix[mask]
-        starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+        starts = np.cumsum(counts) - counts
         position = np.arange(values.size) - np.repeat(starts, counts)
         packed = np.zeros((matrix.shape[0], width), dtype=np.float64)
         packed[row_index, position] = values

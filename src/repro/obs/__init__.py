@@ -36,7 +36,7 @@ layers stay instrumented permanently::
 
     with obs.span("engine.sweep", chain="btc"):
         ...
-    obs.counter("engine.sliding_cache.hit")
+    obs.counter("engine.sliding.fast_path")
 
 Enable around a workload with :func:`enable_tracing` or, end to end, via
 the CLI's global ``--trace FILE`` flag.

@@ -8,7 +8,7 @@ bucket counts are maintained exactly on ``observe`` (see
 :attr:`~repro.obs.metrics.DEFAULT_BUCKET_BOUNDS`), not reconstructed from
 the bounded percentile sample.
 
-Instrument names in this codebase are dotted (``engine.sliding_cache.hit``);
+Instrument names in this codebase are dotted (``engine.sliding.fast_path``);
 :func:`sanitize_metric_name` maps them onto the Prometheus grammar
 ``[a-zA-Z_:][a-zA-Z0-9_:]*`` under a ``repro_`` namespace prefix.
 
@@ -38,8 +38,8 @@ def sanitize_metric_name(name: str, namespace: str = NAMESPACE) -> str:
     Dots and every other illegal character collapse to ``_``, runs of
     underscores are squeezed, and a leading digit gains a ``_`` guard.
 
-    >>> sanitize_metric_name("engine.sliding_cache.hit")
-    'repro_engine_sliding_cache_hit'
+    >>> sanitize_metric_name("engine.sliding.fast_path")
+    'repro_engine_sliding_fast_path'
     >>> sanitize_metric_name("2phase commit!")
     'repro_2phase_commit_'
     """

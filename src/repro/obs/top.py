@@ -29,6 +29,7 @@ import urllib.request
 from typing import Callable
 
 from repro.errors import ObservabilityError
+from repro.obs.report import format_duration
 
 #: ANSI: clear screen + home — how the dashboard redraws in place.
 _CLEAR = "\x1b[2J\x1b[H"
@@ -72,14 +73,6 @@ def sparkline(values: list, width: int = 40) -> str:
         return _SPARK_CHARS[0] * len(tail)
     scale = (len(_SPARK_CHARS) - 1) / (high - low)
     return "".join(_SPARK_CHARS[int((v - low) * scale)] for v in tail)
-
-
-def _fmt_seconds(seconds: float) -> str:
-    if seconds < 1e-3:
-        return f"{seconds * 1e6:.0f}µs"
-    if seconds < 1.0:
-        return f"{seconds * 1e3:.2f}ms"
-    return f"{seconds:.3f}s"
 
 
 def _throughput(status: dict, previous: dict | None, interval: float) -> float | None:
@@ -154,8 +147,8 @@ def render_dashboard(
             stats = timings[name]
             lines.append(
                 f"{name:<36s} {stats.get('count', 0):>8d} "
-                f"{_fmt_seconds(stats.get('p50', 0.0)):>10s} "
-                f"{_fmt_seconds(stats.get('p99', 0.0)):>10s}"
+                f"{format_duration(stats.get('p50', 0.0)):>10s} "
+                f"{format_duration(stats.get('p99', 0.0)):>10s}"
             )
         lines.append("")
 

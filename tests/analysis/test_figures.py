@@ -5,6 +5,7 @@ import pytest
 from repro.analysis.figures import FIGURE_IDS, figure_7, figure_8
 from repro.analysis.study import DecentralizationStudy
 from repro.errors import MeasurementError
+from tests.conftest import assert_series_maps_identical
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +52,16 @@ class TestSlidingFigures:
         for size in (144, 1008, 4320):
             expected = (btc_chain.n_blocks - size) // (size // 2) + 1
             assert len(figure.series[f"N={size}"]) == expected
+
+    @pytest.mark.parametrize("number", range(9, 15))
+    def test_generator_equals_the_study_figure(self, study, btc_engine, eth_engine, number):
+        generator, (which,) = FIGURE_IDS[f"fig{number}"]
+        direct = generator(btc_engine if which == "btc" else eth_engine)
+        via_study = study.figure(number)
+        assert (direct.figure_id, direct.title, direct.notes) == (
+            via_study.figure_id, via_study.title, via_study.notes
+        )
+        assert_series_maps_identical(direct.series, via_study.series)
 
 
 class TestFigure7:

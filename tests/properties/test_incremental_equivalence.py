@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.chain.attribution import attribute
 from repro.chain.pools import PoolInfo, PoolRegistry
 from repro.core.engine import MeasurementEngine
@@ -114,8 +115,16 @@ class TestSlidingFastPathEquivalence:
         chain = make_tiny_chain(random_producers(rng, 40))
         engine = MeasurementEngine(attribute(chain, "per-address"))
         assert engine.credits.sliding_histograms(8, 4) is not None
-        engine.measure_sliding("gini", 8, 4)
-        assert (8, 4) in engine._sliding_cache
+        tracer = obs.enable_tracing()
+        try:
+            engine.measure_sliding("gini", 8, 4)
+        finally:
+            obs.disable_tracing()
+        assert tracer.metrics.snapshot()["counters"] == {"engine.sliding.fast_path": 1.0}
+        assert [span.name for span in tracer.spans] == [
+            "attribution.segment_histograms",
+            "engine.sliding_sweep",
+        ]
 
 
 class TestTimeSlidingEquivalence:

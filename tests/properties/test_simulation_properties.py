@@ -59,7 +59,7 @@ def test_simulator_invariants(seed, block_count, singleton_rate):
     assert np.all(np.diff(chain.offsets) >= 1)
     # All producer references valid.
     assert chain.producer_ids.min() >= 0
-    assert chain.producer_ids.max() < chain.n_producers
+    assert chain.producer_ids.max() < len(chain.producer_names)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -76,7 +76,7 @@ def test_same_seed_reproduces_exactly(seed):
 @settings(max_examples=10, deadline=None)
 def test_singletons_appear_exactly_once(seed):
     chain = make_chain(seed, 1_460, 1.5)
-    counts = np.bincount(chain.producer_ids, minlength=chain.n_producers)
+    counts = np.bincount(chain.producer_ids, minlength=len(chain.producer_names))
     for pid, name in enumerate(chain.producer_names):
         if "1time" in name:
             assert counts[pid] == 1

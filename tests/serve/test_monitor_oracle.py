@@ -1,6 +1,6 @@
 """Differential oracle: the monitor path equals the offline sliding sweep.
 
-``repro monitor`` replays ``repro.cli._block_feed(chain, limit)`` through a
+``repro monitor`` replays ``repro.cli._block_feed(chain)`` through a
 :class:`~repro.core.streaming.StreamingMonitor`.  Evaluation ``k`` covers
 blocks ``[k*M, k*M + N)``, which is window ``k`` of the offline
 ``measure_sliding_many(metrics, N, M)`` sweep, so every streamed value
@@ -11,8 +11,9 @@ must equal the offline one at the same index:
   (the largest difference seen on these chains is ~4e-15).
 
 The evaluation count is the paper's window algebra, ``(B - N) // M + 1``.
-The feed itself must decode each block whole, as one ``list[str]``, and
-stop after ``limit`` blocks.
+The feed itself must decode each block whole, as one ``list[str]``.  A
+case with a block limit feeds the chain's prefix of that many blocks, as
+``repro monitor --blocks`` does.
 """
 
 from __future__ import annotations
@@ -51,13 +52,17 @@ def engines(request) -> Callable[[str], MeasurementEngine]:
     return engine_for
 
 
-def reference_feed(chain, limit: int | None) -> list[list[str]]:
+def prefix(chain, limit: int | None):
+    """The chain's first ``limit`` blocks, or the whole chain."""
+    return chain if limit is None else chain.slice_blocks(0, limit)
+
+
+def reference_feed(chain) -> list[list[str]]:
     """Each block's producer names, decoded one id at a time."""
-    n_blocks = chain.n_blocks if limit is None else min(limit, chain.n_blocks)
     offsets, ids = chain.offsets, chain.producer_ids
     return [
         [chain.producer_names[int(pid)] for pid in ids[offsets[i]:offsets[i + 1]]]
-        for i in range(n_blocks)
+        for i in range(chain.n_blocks)
     ]
 
 
@@ -68,7 +73,7 @@ def test_monitor_history_equals_offline_sweep(request, engines, fixture, window,
     chain = request.getfixturevalue(fixture)
     stride = window // 2
     monitor = StreamingMonitor(window, stride)
-    for producers in _block_feed(chain, limit):
+    for producers in _block_feed(prefix(chain, limit)):
         monitor.push(producers)
 
     blocks = chain.n_blocks if limit is None else limit
@@ -94,17 +99,11 @@ def test_monitor_history_equals_offline_sweep(request, engines, fixture, window,
 
 @pytest.mark.parametrize("fixture, limit", [("btc_chain", None), ("eth_chain", 80_000)])
 def test_feed_decodes_each_block_whole(request, fixture, limit):
-    chain = request.getfixturevalue(fixture)
-    feed = list(_block_feed(chain, limit))
-    assert feed == reference_feed(chain, limit)
+    chain = prefix(request.getfixturevalue(fixture), limit)
+    feed = list(_block_feed(chain))
+    assert feed == reference_feed(chain)
     assert all(type(block) is list for block in feed)
     assert all(type(name) is str for block in feed for name in block)
     if fixture == "btc_chain":
         assert max(len(block) for block in feed) > 1  # multi-producer blocks
 
-
-def test_feed_truncates_to_limit(btc_chain):
-    assert len(list(_block_feed(btc_chain, 5))) == 5
-    assert list(_block_feed(btc_chain, 5)) == reference_feed(btc_chain, 5)
-    over = btc_chain.n_blocks + 10
-    assert sum(1 for _ in _block_feed(btc_chain, over)) == btc_chain.n_blocks

@@ -226,6 +226,13 @@ class TestPrefix:
         assert prefix.n_blocks == 80_000
         assert_prefix_of(prefix, year, 80_000)
 
+    def test_prefix_counts_the_producers_it_credits(self):
+        simulated = simulate_ethereum_2019(seed=1, blocks=80_000)
+        sliced = simulate_ethereum_2019(seed=1).slice_blocks(0, 80_000)
+        # The two name tables differ (116 and 1,082 names); the blocks do not.
+        assert len(simulated.producer_names) < len(sliced.producer_names)
+        assert simulated.n_producers == sliced.n_producers == 111
+
     @pytest.mark.parametrize("blocks", [0, -1])
     def test_non_positive_blocks_rejected(self, blocks):
         with pytest.raises(SimulationError, match="blocks must be positive"):
