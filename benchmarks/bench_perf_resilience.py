@@ -1,8 +1,8 @@
 """Performance — resilience overhead when fault injection is disabled.
 
-Every ingest-path read goes through :func:`repro.resilience.retry.retry_call`
-unconditionally; with neither a policy nor a breaker it is a direct
-passthrough, and the fault-injection hooks are ``None``-guarded.  The
+Resilient reads go through :func:`repro.resilience.retry.retry_call`;
+without a policy it is a direct passthrough, and the fault-injection
+hooks are ``None``-guarded.  The
 contract is that this disabled path (the shipped default) costs less than
 2% of the BTC sliding-family sweep.  This file measures both halves of
 that claim: the per-call cost of the disabled passthrough, and the
@@ -20,10 +20,9 @@ OVERHEAD_BUDGET = 0.02
 CALL_MARGIN = 2.0
 
 #: Generous bound on resilient call sites around one sweep.  The sweep
-#: itself contains none; the always-on sites are the retry_call wrappers
-#: around each dataset's chain load and query (two per dataset, two
-#: datasets).  Per-page injector hooks exist only on the fault-injected
-#: path, never the disabled one.  Bound = 4x the real count.
+#: itself contains none, and the BigQuery facade loads and queries
+#: directly.  Per-page retry and injector hooks exist only on the paged
+#: fetch (``fetch_chain``), never on the disabled path.
 PER_SWEEP_CALLS = 16
 
 
@@ -40,7 +39,7 @@ def _disabled_call_cost(calls: int = 200_000) -> float:
 
 
 def test_perf_disabled_retry_per_call(benchmark):
-    """Microbenchmark: one policy-less, breaker-less retry_call."""
+    """Microbenchmark: one policy-less retry_call."""
     assert benchmark(lambda: retry_call(_noop)) is None
 
 

@@ -17,6 +17,10 @@ from repro.core.changepoint import cusum_changepoints
 from repro.core.engine import MeasurementEngine
 from repro.core.series import MeasurementSeries
 
+#: CUSUM threshold and drift (in sigma units) of every event sweep.
+_CUSUM_THRESHOLD = 4.0
+_CUSUM_DRIFT = 0.4
+
 
 @dataclass(frozen=True)
 class Event:
@@ -42,30 +46,16 @@ class Event:
 def event_timeline(
     engine: MeasurementEngine,
     metrics: tuple[str, ...] = ("gini", "entropy", "nakamoto"),
-    granularity: str = "day",
-    iqr_k: float = 1.5,
-    cusum_threshold: float = 4.0,
-    cusum_drift: float = 0.4,
 ) -> list[Event]:
-    """Detect and merge events across ``metrics``; sorted by position."""
-    return sweep_events(
-        engine.measure_calendar_many(metrics, granularity),
-        iqr_k=iqr_k,
-        cusum_threshold=cusum_threshold,
-        cusum_drift=cusum_drift,
-    )
+    """Detect and merge daily events across ``metrics``; sorted by position."""
+    return sweep_events(engine.measure_calendar_many(metrics, "day"))
 
 
-def sweep_events(
-    sweep: Mapping[str, MeasurementSeries],
-    iqr_k: float = 1.5,
-    cusum_threshold: float = 4.0,
-    cusum_drift: float = 0.4,
-) -> list[Event]:
+def sweep_events(sweep: Mapping[str, MeasurementSeries]) -> list[Event]:
     """:func:`event_timeline` over an already measured sweep (metric -> series)."""
     events: list[Event] = []
     for metric, series in sweep.items():
-        outliers = iqr_anomalies(series, k=iqr_k)
+        outliers = iqr_anomalies(series)
         for position, label, value in zip(
             outliers.positions, outliers.labels, outliers.values
         ):
@@ -80,7 +70,7 @@ def sweep_events(
                 )
             )
         shifts = cusum_changepoints(
-            series, threshold=cusum_threshold, drift=cusum_drift
+            series, threshold=_CUSUM_THRESHOLD, drift=_CUSUM_DRIFT
         )
         for point in shifts.points:
             events.append(

@@ -34,7 +34,6 @@ class MultiChainComparison:
         self,
         engines: dict[str, MeasurementEngine],
         metrics: tuple[str, ...] = ("gini", "entropy", "nakamoto"),
-        granularity: str = "day",
     ) -> None:
         if len(engines) < 2:
             raise MeasurementError("comparison requires at least two chains")
@@ -46,13 +45,10 @@ class MultiChainComparison:
             )
         self._engines = dict(engines)
         self._metrics = metrics
-        self._granularity = granularity
         self._series = {
             (name, metric): series
             for name, engine in self._engines.items()
-            for metric, series in engine.measure_calendar_many(
-                metrics, granularity
-            ).items()
+            for metric, series in engine.measure_calendar_many(metrics, "day").items()
         }
 
     def table(self) -> Table:

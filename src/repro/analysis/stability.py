@@ -40,12 +40,11 @@ def stability_report(
     btc: MeasurementEngine,
     eth: MeasurementEngine,
     metrics: tuple[str, ...] = ("gini", "entropy", "nakamoto"),
-    granularity: str = "day",
 ) -> StabilityReport:
-    """Compare per-metric stability of the two chains at ``granularity``."""
+    """Compare per-metric stability of the two chains' daily series."""
     return stability_of_sweeps(
-        btc.measure_calendar_many(metrics, granularity),
-        eth.measure_calendar_many(metrics, granularity),
+        btc.measure_calendar_many(metrics, "day"),
+        eth.measure_calendar_many(metrics, "day"),
     )
 
 

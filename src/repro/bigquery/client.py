@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.chain.chain import Chain
 from repro.data.store import ChainStore
 from repro.errors import SqlPlanError
-from repro.resilience.faults import FaultInjector
-from repro.resilience.retry import CircuitBreaker, RetryPolicy, retry_call
 from repro.simulation.scenarios import simulate_bitcoin_2019, simulate_ethereum_2019
 from repro.sql import QueryEngine
 from repro.table import Table
@@ -51,30 +49,13 @@ class BigQueryClient:
 
     Datasets are simulated on first touch; pass a :class:`ChainStore` to
     persist them across processes (the simulate-once workflow the paper's
-    one-off BigQuery extract corresponds to).
-
-    Dataset loads optionally run under a retry policy and circuit breaker
-    (transient faults from a ``FaultInjector`` — or a real flaky disk —
-    are retried with backoff), and an injector with a ``corrupt_cache``
-    rule gets a shot at the stored bytes before each load, exercising the
-    store's checksum + auto-rebuild path.  With all three left ``None``
-    every call is direct — the disabled path adds nothing.
+    one-off BigQuery extract corresponds to).  A stored dataset whose
+    checksum fails is rebuilt (:func:`~repro.data.cache.cached_chain`).
     """
 
-    def __init__(
-        self,
-        seed: int = 2019,
-        store: ChainStore | None = None,
-        *,
-        retry_policy: RetryPolicy | None = None,
-        breaker: CircuitBreaker | None = None,
-        injector: FaultInjector | None = None,
-    ) -> None:
+    def __init__(self, seed: int = 2019, store: ChainStore | None = None) -> None:
         self._seed = seed
         self._store = store
-        self._retry_policy = retry_policy
-        self._breaker = breaker
-        self._injector = injector
         self._chains: dict[str, Chain] = {}
         self._engine = QueryEngine()
         self._loaded: set[str] = set()
@@ -110,35 +91,11 @@ class BigQueryClient:
                 return simulate_bitcoin_2019(seed=self._seed)
             return simulate_ethereum_2019(seed=self._seed)
 
-        name = f"{dataset}-{self._seed}"
-        if (
-            self._injector is not None
-            and self._store is not None
-            and self._store.exists(name)
-        ):
-            # Give a scheduled corrupt_cache fault a stored partition to
-            # flip bytes in; the checksum on load catches it and
-            # cached_chain rebuilds.
-            partitions = sorted((self._store.root / name).glob("part-*.npz"))
-            if partitions:
-                self._injector.corrupt_file(partitions[0])
-
-        def load() -> Chain:
-            if self._injector is not None:
-                self._injector.on_read(f"dataset:{dataset}")
-            if self._store is not None:
-                from repro.data.cache import cached_chain
-
-                return cached_chain(self._store, name, build)
+        if self._store is None:
             return build()
+        from repro.data.cache import cached_chain
 
-        return retry_call(
-            load,
-            policy=self._retry_policy,
-            breaker=self._breaker,
-            seed=self._seed,
-            name=f"chain:{dataset}",
-        )
+        return cached_chain(self._store, f"{dataset}-{self._seed}", build)
 
     # -- querying --------------------------------------------------------------
 
@@ -146,19 +103,7 @@ class BigQueryClient:
         """Execute ``sql``; dataset-qualified tables load on demand."""
         self._ensure_tables(sql)
         started = time.perf_counter()
-
-        def execute() -> Table:
-            if self._injector is not None:
-                self._injector.on_read("query")
-            return self._engine.execute(sql)
-
-        result = retry_call(
-            execute,
-            policy=self._retry_policy,
-            breaker=self._breaker,
-            seed=self._seed,
-            name="query",
-        )
+        result = self._engine.execute(sql)
         elapsed = time.perf_counter() - started
         self._job_counter += 1
         return QueryJob(sql=sql, _table=result, elapsed=elapsed, job_id=self._job_counter)

@@ -32,8 +32,8 @@ per usable CPU; see ``docs/PARALLELISM.md``).
 
 Exit codes are part of the contract: ``2`` for argument/validation
 errors (including a malformed ``--inject-faults`` spec or ``--slo``
-file), ``1`` for runtime failures (I/O, unknown figures, exhausted retries or an open
-circuit breaker, a chaos-run divergence), ``0`` otherwise.
+file), ``1`` for runtime failures (I/O, unknown figures, exhausted retries, a
+chaos-run divergence or a drill with no window to compare), ``0`` otherwise.
 """
 
 from __future__ import annotations
@@ -953,7 +953,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if not chains_equal(clean.chain, faulted.chain):
         failures.append("recovered chain diverges from the clean ingest")
 
-    window = source.spec.window_day
+    # One day's window, shrunk to half the prefix (rounded down to an even
+    # size) when the prefix holds fewer than two days: N = 1,024 over a
+    # 2,048-block ETH prefix gives 3 windows to compare.
+    window = max(2, min(source.spec.window_day, source.n_blocks // 4 * 2))
+    n_windows = 0
     for attribution in ("per-address", "first-address", "fractional", "pool"):
         clean_engine = MeasurementEngine.from_chain(clean.chain, attribution, registry)
         faulted_engine = MeasurementEngine.from_chain(
@@ -962,13 +966,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         metrics = ("gini", "entropy", "nakamoto")
         a = clean_engine.measure_sliding_many(metrics, window)
         b = faulted_engine.measure_sliding_many(metrics, window)
+        n_windows = len(a["gini"])
         for metric in metrics:
             if a[metric].values.tobytes() != b[metric].values.tobytes():
                 failures.append(f"{attribution}/{metric} series not byte-identical")
     print(
         "metric series: 4 attribution policies x 3 metrics "
-        f"over sliding-{window} compared byte-for-byte"
+        f"over sliding-{window} ({n_windows} windows) compared byte-for-byte"
     )
+    if n_windows == 0:
+        failures.append(f"sliding-{window} has no window to compare")
 
     # The corrupt_cache half of the drill: flipped bytes in a stored
     # partition must be caught by its checksum and healed by a rebuild.

@@ -16,6 +16,9 @@ import numpy as np
 from repro.core.series import MeasurementSeries
 from repro.errors import MeasurementError
 
+#: Points at the start of each segment whose mean is that segment's baseline.
+_BASELINE_POINTS = 20
+
 
 @dataclass(frozen=True)
 class ChangePoint:
@@ -55,12 +58,11 @@ def cusum_changepoints(
     series: MeasurementSeries,
     threshold: float = 5.0,
     drift: float = 0.5,
-    baseline: int = 20,
 ) -> ChangePointReport:
     """Two-sided, self-re-baselining CUSUM.
 
     Deviations are measured in global-sigma units against the *current
-    segment's* baseline (the mean of its first ``baseline`` points).  When
+    segment's* baseline (the mean of its first 20 points).  When
     the upper/lower cumulative sum exceeds ``threshold`` a change point is
     flagged and a new segment — with a fresh baseline — starts there, so a
     persistent level shift is reported once rather than repeatedly.
@@ -69,8 +71,6 @@ def cusum_changepoints(
         raise MeasurementError(f"threshold must be positive, got {threshold}")
     if drift < 0:
         raise MeasurementError(f"drift must be >= 0, got {drift}")
-    if baseline < 2:
-        raise MeasurementError(f"baseline must be >= 2, got {baseline}")
     values = series.values
     n = values.shape[0]
     if n < 3:
@@ -81,7 +81,7 @@ def cusum_changepoints(
     points: list[ChangePoint] = []
     segment_start = 0
     while segment_start < n - 1:
-        base_stop = min(segment_start + baseline, n)
+        base_stop = min(segment_start + _BASELINE_POINTS, n)
         mean = float(values[segment_start:base_stop].mean())
         upper = 0.0
         lower = 0.0

@@ -117,9 +117,5 @@ class RetryExhaustedError(ResilienceError):
         super().__init__(message)
 
 
-class CircuitOpenError(ResilienceError):
-    """A circuit breaker is open and refusing calls to a failing dependency."""
-
-
 class IntegrityError(ChainError):
     """Ingested chain data violated an integrity invariant beyond repair."""

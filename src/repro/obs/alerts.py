@@ -13,7 +13,7 @@ pages once, not on every window:
   ``firing`` (sinks notified once, then deduplicated) → ``resolved``
   (condition clear of the hysteresis band for ``keep_for`` seconds),
 * sinks — structured log lines, an append-only JSONL file, and a webhook
-  POST wrapped in the PR 4 retry policy, and
+  POST retried under a bounded backoff policy, and
 * :class:`AnomalyDetector` — an EWMA mean/variance z-score detector that
   flags regime shifts (the Jan-14-2019 BTC day) without any configured
   threshold.
@@ -44,6 +44,13 @@ RESOLVED = "resolved"
 
 #: Events kept in the manager's in-memory history ring.
 _HISTORY_CAP = 512
+
+#: Seconds a webhook POST may take before it counts as a failed attempt.
+_WEBHOOK_TIMEOUT = 3.0
+
+#: Floor on :attr:`AnomalyDetector.std`, so a flat baseline scores a
+#: finite z instead of dividing by zero.
+_MIN_STD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -202,18 +209,19 @@ class JSONLSink(AlertSink):
 
 
 class WebhookSink(AlertSink):
-    """POST each event as JSON to a URL, retried under a PR 4 policy.
+    """POST each event as JSON to a URL, retried under ``retry_policy``.
 
-    Delivery failures are logged and counted
-    (``alerts.sink_errors_total``), never raised — a dead webhook must
-    not take the monitor down with it.
+    The default policy makes at most three attempts, 0.05 s then 0.1 s
+    apart (:data:`~repro.resilience.retry.WEBHOOK_POLICY`).  Delivery
+    failures are logged and counted (``alerts.sink_errors_total``), never
+    raised — a dead webhook must not take the monitor down with it.
     """
 
-    def __init__(self, url: str, retry_policy=None, clock=None,
-                 timeout: float = 3.0) -> None:
+    def __init__(self, url: str, retry_policy=None, clock=None) -> None:
+        from repro.resilience.retry import WEBHOOK_POLICY
+
         self.url = url
-        self.timeout = timeout
-        self._retry_policy = retry_policy
+        self._retry_policy = retry_policy or WEBHOOK_POLICY
         self._clock = clock
 
     def _post(self, payload: bytes) -> None:
@@ -223,7 +231,7 @@ class WebhookSink(AlertSink):
             self.url, data=payload,
             headers={"Content-Type": "application/json"}, method="POST",
         )
-        with urllib.request.urlopen(request, timeout=self.timeout):
+        with urllib.request.urlopen(request, timeout=_WEBHOOK_TIMEOUT):
             pass
 
     def emit(self, event: AlertEvent) -> None:
@@ -313,11 +321,6 @@ class AlertManager:
                 raise ValidationError(f"duplicate alert rule {rule.name!r}")
             self._rules.append(rule)
 
-    def add_sink(self, sink: AlertSink) -> None:
-        """Attach another delivery sink."""
-        with self._lock:
-            self._sinks.append(sink)
-
     @property
     def rules(self) -> tuple[AlertRule, ...]:
         with self._lock:
@@ -325,13 +328,11 @@ class AlertManager:
 
     # -- evaluation -----------------------------------------------------------
 
-    def evaluate(
-        self, values: Mapping[str, float], now: float | None = None
-    ) -> list[AlertEvent]:
+    def evaluate(self, values: Mapping[str, float]) -> list[AlertEvent]:
         """Evaluate every rule against ``values``; returns emitted events."""
         events: list[AlertEvent] = []
         with self._lock:
-            now = self._now() if now is None else float(now)
+            now = self._now()
             for rule in self._rules:
                 result = rule.evaluate(values)
                 if result is None:
@@ -476,11 +477,10 @@ class AnomalyDetector:
 
     The first ``warmup`` values establish the baseline (their mean and
     sample variance); every later value is scored as
-    ``z = (value - mean) / std`` *before* updating the baseline, and —
-    by default — anomalous values (``|z| > threshold``) are **not**
-    absorbed into the baseline, so a one-day regime shift (the paper's
-    Jan-14-2019 Gini collapse) stays anomalous instead of dragging the
-    mean down with it.
+    ``z = (value - mean) / std`` *before* updating the baseline, and
+    anomalous values (``|z| > threshold``) are **not** absorbed into the
+    baseline, so a one-day regime shift (the paper's Jan-14-2019 Gini
+    collapse) stays anomalous instead of dragging the mean down with it.
 
     >>> detector = AnomalyDetector(threshold=4.0, warmup=3)
     >>> for v in (10.0, 10.2, 9.9, 10.1, 10.0):
@@ -494,8 +494,6 @@ class AnomalyDetector:
         alpha: float = 0.3,
         threshold: float = 4.0,
         warmup: int = 5,
-        min_std: float = 1e-6,
-        absorb_anomalies: bool = False,
     ) -> None:
         if not 0.0 < alpha <= 1.0:
             raise ValidationError(f"alpha must be in (0, 1], got {alpha}")
@@ -506,8 +504,6 @@ class AnomalyDetector:
         self.alpha = alpha
         self.threshold = threshold
         self.warmup = warmup
-        self.min_std = min_std
-        self.absorb_anomalies = absorb_anomalies
         self._seen = 0
         self._warmup_values: list[float] = []
         self._mean = 0.0
@@ -520,8 +516,8 @@ class AnomalyDetector:
 
     @property
     def std(self) -> float:
-        """The current baseline standard deviation (floored at ``min_std``)."""
-        return max(math.sqrt(self._var), self.min_std)
+        """The current baseline standard deviation (floored at 1e-6)."""
+        return max(math.sqrt(self._var), _MIN_STD)
 
     def update(self, value: float) -> float | None:
         """Score ``value`` against the baseline, then fold it in.
@@ -542,7 +538,7 @@ class AnomalyDetector:
                 self._warmup_values.clear()
             return None
         z = (value - self._mean) / self.std
-        if self.absorb_anomalies or abs(z) <= self.threshold:
+        if abs(z) <= self.threshold:
             diff = value - self._mean
             incr = self.alpha * diff
             self._mean += incr
@@ -559,8 +555,6 @@ def anomaly_rule(
     name: str,
     metric: str,
     detector: AnomalyDetector | None = None,
-    severity: str = "warning",
-    keep_for: float = 0.0,
 ) -> AlertRule:
     """An :class:`AlertRule` that fires on z-score anomalies in ``metric``.
 
@@ -580,6 +574,5 @@ def anomaly_rule(
         return abs(z) > detector.threshold, z
 
     return AlertRule(
-        name, check=check, severity=severity, keep_for=keep_for,
-        labels={"metric": metric, "kind": "anomaly"},
+        name, check=check, labels={"metric": metric, "kind": "anomaly"}
     )

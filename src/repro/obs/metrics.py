@@ -5,7 +5,7 @@ process-wide one lives on the tracer; see :mod:`repro.obs.tracer`) and
 aggregate in memory until exported.  A counter accumulates increments, a
 gauge keeps the last value, and a timing histogram records observations in
 seconds with exact count/total/min/max plus percentile estimates from a
-bounded sample.
+bounded sample of the most recent observations.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import threading
 
 import numpy as np
 
-#: Timing histograms keep at most this many raw observations for
+#: Timing histograms keep the most recent this-many raw observations for
 #: percentile estimates; count/total/min/max stay exact past the cap.
 _HISTOGRAM_SAMPLE_CAP = 4096
 
@@ -105,6 +105,11 @@ class TimingHistogram:
     def observe(self, seconds: float) -> None:
         """Record one duration."""
         seconds = float(seconds)
+        samples = self._samples
+        if len(samples) < _HISTOGRAM_SAMPLE_CAP:
+            samples.append(seconds)
+        else:  # full: the oldest observation's slot
+            samples[self.count % _HISTOGRAM_SAMPLE_CAP] = seconds
         self.count += 1
         self.total += seconds
         if seconds < self.minimum:
@@ -112,8 +117,6 @@ class TimingHistogram:
         if seconds > self.maximum:
             self.maximum = seconds
         self._bucket_counts[bisect.bisect_left(self.bucket_bounds, seconds)] += 1
-        if len(self._samples) < _HISTOGRAM_SAMPLE_CAP:
-            self._samples.append(seconds)
         history = self.history
         if history is not None:
             history(seconds)
@@ -142,7 +145,8 @@ class TimingHistogram:
         return self.total / self.count if self.count else 0.0
 
     def percentile(self, q: float) -> float:
-        """The ``q``-th percentile (0-100) of the retained sample."""
+        """The ``q``-th percentile (0-100) of the most recent 4,096
+        observations, linear-interpolated as :func:`numpy.percentile`."""
         if not self._samples:
             return 0.0
         return float(np.percentile(np.asarray(self._samples), q))
@@ -181,13 +185,14 @@ class TimingHistogram:
         Exact statistics (count/total/min/max) always merge exactly;
         bucket counts merge exactly when the bounds agree (they do for
         every histogram this package creates) and are otherwise
-        reconstructed from the bounded sample.  Percentiles stay
-        estimates over the combined bounded sample, as for a single
-        process.
+        reconstructed from the bounded sample.  The other sample folds in
+        as if observed after this one's, so percentiles stay estimates
+        over the most recent 4,096 samples, as for a single process.
         """
         count = int(state.get("count", 0))
         if not count:
             return
+        position = self.count
         self.count += count
         self.total += float(state.get("total", 0.0))
         self.minimum = min(self.minimum, float(state.get("min", self.minimum)))
@@ -201,9 +206,13 @@ class TimingHistogram:
                 self._bucket_counts[
                     bisect.bisect_left(self.bucket_bounds, seconds)
                 ] += 1
-        room = _HISTOGRAM_SAMPLE_CAP - len(self._samples)
-        if room > 0:
-            self._samples.extend(samples[:room])
+        kept = self._samples
+        for seconds in samples:
+            if len(kept) < _HISTOGRAM_SAMPLE_CAP:
+                kept.append(seconds)
+            else:
+                kept[position % _HISTOGRAM_SAMPLE_CAP] = seconds
+            position += 1
 
 
 class MetricsRegistry:

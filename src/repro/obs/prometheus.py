@@ -103,9 +103,9 @@ def build_info() -> dict:
     }
 
 
-def render_build_info(namespace: str = NAMESPACE) -> str:
-    """The constant-1 ``<namespace>_build_info`` gauge section."""
-    name = f"{namespace}_build_info"
+def render_build_info() -> str:
+    """The constant-1 ``repro_build_info`` gauge section."""
+    name = f"{NAMESPACE}_build_info"
     labels = ",".join(
         f'{sanitize_label_name(key)}="{escape_label_value(str(value))}"'
         for key, value in sorted(build_info().items())

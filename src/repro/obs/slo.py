@@ -267,9 +267,9 @@ class SLOEngine:
 
         return check
 
-    def summary(self, now: float | None = None) -> dict:
+    def summary(self) -> dict:
         """The ``slo`` section of ``/status``."""
-        statuses = self.evaluate(now)
+        statuses = self.evaluate()
         return {
             "objectives": len(statuses),
             "breached": [s["name"] for s in statuses if s["breached"]],

@@ -34,6 +34,8 @@ import time
 from collections import deque
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from repro.errors import ValidationError
 
 #: Raw points kept per series before the ring wraps.
@@ -117,17 +119,11 @@ class QuantileSketch:
         return self._seen
 
     def quantile(self, q: float) -> float:
-        """The ``q``-th quantile (0..1) of the retained sample (0.0 if empty)."""
+        """The ``q``-th quantile (0..1, clamped) of the retained sample,
+        linear-interpolated as :func:`numpy.quantile` (0.0 if empty)."""
         if not self._values:
             return 0.0
-        ordered = sorted(self._values)
-        if len(ordered) == 1:
-            return ordered[0]
-        position = min(max(q, 0.0), 1.0) * (len(ordered) - 1)
-        low = int(position)
-        high = min(low + 1, len(ordered) - 1)
-        fraction = position - low
-        return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
+        return float(np.quantile(self._values, min(max(q, 0.0), 1.0)))
 
 
 class Bucket:

@@ -249,7 +249,7 @@ class FaultInjector:
             return RawBlock(block.height, block.timestamp - 86_400_000, block.producers)
         return RawBlock(-block.height, block.timestamp, block.producers)
 
-    def mangle_feed(self, feed, crash_on_malformed: bool = False):
+    def mangle_feed(self, feed):
         """Per-block generator form of :meth:`mangle_page` for monitors.
 
         Yields each block's producer list, occasionally dropped

@@ -34,7 +34,7 @@ from repro.resilience.integrity import (
     raw_blocks,
     repair_blocks,
 )
-from repro.resilience.retry import CircuitBreaker, Clock, RetryPolicy, retry_call
+from repro.resilience.retry import Clock, RetryPolicy, retry_call
 
 #: Page size mirroring a BigQuery result page, small enough that a small
 #: simulated extract still spans many pages.
@@ -69,7 +69,6 @@ def fetch_chain(
     page_size: int = DEFAULT_PAGE_SIZE,
     injector: FaultInjector | None = None,
     retry_policy: RetryPolicy | None = None,
-    breaker: CircuitBreaker | None = None,
     clock: Clock | None = None,
     repair_policy: str = "refetch",
     seed: int = 0,
@@ -101,7 +100,6 @@ def fetch_chain(
         return retry_call(
             read_one,
             policy=retry_policy,
-            breaker=breaker,
             clock=clock,
             seed=seed,
             name=f"refetch:{height}",
@@ -119,7 +117,6 @@ def fetch_chain(
             page = retry_call(
                 lambda start=start: read_page(start),
                 policy=retry_policy,
-                breaker=breaker,
                 clock=clock,
                 seed=seed,
                 name=f"page:{start}",

@@ -1,10 +1,10 @@
 """Retry policies, backoff with jitter, deadlines and a circuit breaker.
 
-The policy layer sits between callers and flaky dependencies (the
-BigQuery-shaped client, :class:`~repro.data.store.ChainStore` reads):
-transient failures are retried with exponential backoff + deterministic
-jitter, a deadline bounds the total wait, and a :class:`CircuitBreaker`
-stops hammering a dependency that keeps failing.
+The policy layer sits between callers and flaky dependencies (paged
+chain reads, alert webhooks): transient failures are retried with
+exponential backoff + deterministic jitter and a deadline bounds the
+total wait.  A :class:`CircuitBreaker` counts consecutive failures into a
+closed/open/half-open state; the serve layer's load shedder uses one.
 
 Everything is clock-injectable: tests and the ``repro chaos`` harness use
 :class:`ManualClock` so injected timeouts and breaker cool-downs resolve
@@ -15,8 +15,8 @@ Counters land on the existing :mod:`repro.obs` metrics registry
 ``resilience.breaker.*``) so ``/metrics`` scrapes and trace exports see
 retry pressure alongside pipeline timings.
 
-With ``policy=None`` and ``breaker=None``, :func:`retry_call` is a direct
-call — the disabled path costs one ``is None`` check (budgeted in
+With ``policy=None``, :func:`retry_call` is a direct call — the disabled
+path costs one ``is None`` check (budgeted in
 ``benchmarks/bench_perf_resilience.py``).
 """
 
@@ -31,19 +31,14 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from repro import obs
-from repro.errors import (
-    CircuitOpenError,
-    RetryExhaustedError,
-    TransientError,
-    ValidationError,
-)
+from repro.errors import RetryExhaustedError, TransientError, ValidationError
 from repro.util.rng import derive_rng
 
 logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
 
-#: Exception types retried by default: the library's own transient
+#: Exception types :func:`retry_call` retries: the library's own transient
 #: failures plus the OS-level ones a real network data source raises.
 DEFAULT_RETRY_ON: tuple[type[BaseException], ...] = (
     TransientError,
@@ -149,6 +144,12 @@ class RetryPolicy:
 #: with near-zero real sleeping even on a real clock.
 FAST_TEST_POLICY = RetryPolicy(
     max_attempts=6, base_delay=0.0001, max_delay=0.001, jitter=0.0
+)
+
+#: Alert webhook delivery: three attempts, 0.05 s then 0.1 s apart, so a
+#: dead endpoint delays the monitor by at most 0.15 s of backoff per event.
+WEBHOOK_POLICY = RetryPolicy(
+    max_attempts=3, base_delay=0.05, max_delay=0.2, jitter=0.0
 )
 
 
@@ -287,54 +288,35 @@ def retry_call(
     fn: Callable[[], T],
     *,
     policy: RetryPolicy | None = None,
-    breaker: CircuitBreaker | None = None,
-    retry_on: tuple[type[BaseException], ...] = DEFAULT_RETRY_ON,
     name: str = "call",
     clock: Clock | None = None,
-    rng: np.random.Generator | None = None,
     seed: int | None = None,
     on_retry: Callable[[int, BaseException, float], None] | None = None,
 ) -> T:
-    """Call ``fn`` under ``policy``/``breaker``; the resilient-read primitive.
+    """Call ``fn`` under ``policy``; the resilient-read primitive.
 
-    With neither a policy nor a breaker this is a direct call — the
-    always-on disabled path.  Otherwise transient failures (``retry_on``)
-    are retried with backoff until the policy's attempts or deadline run
-    out, raising :class:`~repro.errors.RetryExhaustedError`; a breaker
-    that is (or trips) open raises :class:`~repro.errors.CircuitOpenError`.
+    Without a policy this is a direct call — the always-on disabled path.
+    Otherwise transient failures (:data:`DEFAULT_RETRY_ON`) are retried
+    with backoff until the policy's attempts or deadline run out, raising
+    :class:`~repro.errors.RetryExhaustedError`.
 
-    Jitter determinism: pass ``rng`` or ``seed`` (stream ``retry:<name>``)
-    to make the backoff schedule reproducible.
+    Jitter determinism: pass ``seed`` (stream ``retry:<name>``) to make
+    the backoff schedule reproducible.
     """
-    if policy is None and breaker is None:
+    if policy is None:
         return fn()
-    policy = policy or RetryPolicy()
     clock = clock or _REAL_CLOCK
-    if rng is None and seed is not None:
-        rng = derive_rng(seed, f"retry:{name}")
+    rng = derive_rng(seed, f"retry:{name}") if seed is not None else None
     registry = obs.get_tracer().metrics
-    if breaker is not None and not breaker.allow():
-        registry.counter("resilience.breaker.rejected_total").inc()
-        raise CircuitOpenError(
-            f"circuit {breaker.name!r} is open; refusing {name}"
-        )
     start = clock.monotonic()
     failures = 0
     while True:
         registry.counter("resilience.attempts_total").inc()
         try:
             result = fn()
-        except retry_on as exc:
+        except DEFAULT_RETRY_ON as exc:
             failures += 1
             registry.counter("resilience.failures_total").inc()
-            if breaker is not None:
-                breaker.record_failure()
-                if not breaker.allow():
-                    registry.counter("resilience.giveups_total").inc()
-                    raise CircuitOpenError(
-                        f"circuit {breaker.name!r} opened while retrying "
-                        f"{name}: {exc}"
-                    ) from exc
             if failures >= policy.max_attempts:
                 registry.counter("resilience.giveups_total").inc()
                 raise RetryExhaustedError(
@@ -364,8 +346,6 @@ def retry_call(
                 on_retry(failures, exc, delay)
             clock.sleep(delay)
         else:
-            if breaker is not None:
-                breaker.record_success()
             if failures:
                 registry.counter("resilience.recoveries_total").inc()
             return result

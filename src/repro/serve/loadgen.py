@@ -31,26 +31,13 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
-from typing import Callable
+
+import numpy as np
 
 from repro.errors import ValidationError
 
 #: Recognized driving modes, in CLI spelling.
 LOADGEN_MODES = ("closed", "open")
-
-
-def percentile(sorted_values: list[float], pct: float) -> float:
-    """Nearest-rank percentile of an ascending-sorted, non-empty list.
-
-    >>> percentile([1.0, 2.0, 3.0, 4.0], 50)
-    2.0
-    >>> percentile([1.0, 2.0, 3.0, 4.0], 99)
-    4.0
-    """
-    if not sorted_values:
-        raise ValidationError("percentile of an empty list")
-    rank = max(int(len(sorted_values) * pct / 100.0 + 0.5), 1)
-    return sorted_values[min(rank, len(sorted_values)) - 1]
 
 
 @dataclass(frozen=True)
@@ -132,6 +119,33 @@ class _Collector:
     def record_error(self) -> None:
         with self._lock:
             self.errors += 1
+
+    def report(self, duration: float) -> LoadgenReport:
+        """Everything recorded, with numpy's linear-interpolated latency
+        percentiles (0.0 when no request completed).
+
+        >>> collector = _Collector()
+        >>> for seconds in (0.001, 0.002, 0.003, 0.004):
+        ...     collector.record(200, seconds, stale=False, retry_after=False)
+        >>> report = collector.report(1.0)
+        >>> round(report.p50_ms, 9), round(report.p99_ms, 9)
+        (2.5, 3.97)
+        """
+        p50, p95, p99 = (
+            np.percentile(self.latencies, (50, 95, 99)) * 1000
+            if self.latencies else (0.0, 0.0, 0.0)
+        )
+        return LoadgenReport(
+            requests=len(self.latencies),
+            duration=duration,
+            status_counts=dict(sorted(self.status_counts.items())),
+            stale_responses=self.stale,
+            errors=self.errors,
+            unhandled_5xx=self.unhandled,
+            p50_ms=float(p50),
+            p95_ms=float(p95),
+            p99_ms=float(p99),
+        )
 
 
 def _fire(url: str, client_id: str, timeout: float,
@@ -221,20 +235,7 @@ def run_loadgen(config: LoadgenConfig) -> LoadgenReport:
         thread.start()
     for thread in threads:
         thread.join(timeout=config.duration + 10 * config.timeout)
-    elapsed = time.monotonic() - started
-
-    latencies = sorted(collector.latencies)
-    return LoadgenReport(
-        requests=len(latencies),
-        duration=elapsed,
-        status_counts=dict(sorted(collector.status_counts.items())),
-        stale_responses=collector.stale,
-        errors=collector.errors,
-        unhandled_5xx=collector.unhandled,
-        p50_ms=percentile(latencies, 50) * 1000 if latencies else 0.0,
-        p95_ms=percentile(latencies, 95) * 1000 if latencies else 0.0,
-        p99_ms=percentile(latencies, 99) * 1000 if latencies else 0.0,
-    )
+    return collector.report(time.monotonic() - started)
 
 
 def format_report(report: LoadgenReport) -> str:
@@ -261,8 +262,6 @@ def format_report(report: LoadgenReport) -> str:
     return "\n".join(lines)
 
 
-def print_report(report: LoadgenReport,
-                 print_fn: Callable[[str], None] = print) -> None:
-    """Print the formatted report one line at a time."""
-    for line in format_report(report).splitlines():
-        print_fn(line)
+def print_report(report: LoadgenReport) -> None:
+    """Print the formatted report."""
+    print(format_report(report))

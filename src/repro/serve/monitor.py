@@ -91,7 +91,6 @@ def run_monitor(
     max_restarts: int | None = None,
     restart_backoff: float = 0.05,
     injector: FaultInjector | None = None,
-    history: bool = True,
     slos: Sequence[SLO] = (),
     alert_sinks: Sequence[AlertSink] = (),
     overload: OverloadGuard | OverloadConfig | None = None,
@@ -131,15 +130,15 @@ def run_monitor(
     through ``print_fn`` and hands it to ``alert_sinks`` (a structured-log
     sink is always present).
 
-    With ``history`` (the default) a :class:`~repro.obs.timeseries.TimeSeriesStore`
-    is attached to the registry for the duration of the run — every
-    instrument plus each streaming metric (as
-    ``monitor.metric.<chain>.<name>``) records history — and ``slos`` add
-    burn-rate rules (:meth:`~repro.obs.slo.SLOEngine.rules`) to the
-    manager; SLOs without history are refused.  The two progress gauges,
-    ``monitor.blocks_ingested`` and ``monitor.lag_blocks``, move every
-    block but record one history point per window evaluation (before the
-    alert rules run) and one at feed end.  ``monitor.push_seconds`` is
+    A :class:`~repro.obs.timeseries.TimeSeriesStore` is attached to the
+    registry for the duration of the run — every instrument plus each
+    streaming metric (as ``monitor.metric.<chain>.<name>``) records
+    history — and ``slos`` add burn-rate rules
+    (:meth:`~repro.obs.slo.SLOEngine.rules`) to the manager.  The two
+    progress gauges, ``monitor.blocks_ingested`` and
+    ``monitor.lag_blocks``, move every block but record one history
+    point per window evaluation (before the alert rules run) and one at
+    feed end.  ``monitor.push_seconds`` is
     observed every push and keeps one history point per push, stamped
     when the push ends, but the points reach the store in bulk
     (:meth:`~repro.obs.timeseries.TimeSeriesStore.record_many`): at each
@@ -161,8 +160,6 @@ def run_monitor(
     ``drop-oldest`` | ``shed``) while the ingest loop consumes — queue
     depth and drop counts surface in ``/metrics`` and ``/status``.
     """
-    if slos and not history:
-        raise ResilienceError("SLO evaluation requires history=True")
     monitor = StreamingMonitor(window_size, stride)
     state = MonitorState(chain, monitor.window_size, monitor.stride, total_blocks)
     state.max_restarts = max_restarts
@@ -174,25 +171,23 @@ def run_monitor(
     registry = obs.get_tracer().metrics
     supervisor: MonitorSupervisor | None = None
     server: TelemetryServer | None = None
-    store: TimeSeriesStore | None = None
     previous_history = registry.history
     manager = AlertManager(sinks=[LogSink(), *alert_sinks], registry=registry)
     for alert_rule in alert_rules:
         manager.add_rule(alert_rule)
     state.alerts_fn = manager.summary
-    if history:
-        store = TimeSeriesStore()
-        registry.set_history(store)
-        state.timeseries_fn = store.stats
-        state.sparklines_fn = lambda: {
-            name: store.tail_values(f"monitor.latest.{name}", 40)
-            for name in monitor.metric_names
-        }
-        if slos:
-            engine = SLOEngine(slos, store)
-            for alert_rule in engine.rules():
-                manager.add_rule(alert_rule)
-            state.slo_fn = engine.summary
+    store = TimeSeriesStore()
+    registry.set_history(store)
+    state.timeseries_fn = store.stats
+    state.sparklines_fn = lambda: {
+        name: store.tail_values(f"monitor.latest.{name}", 40)
+        for name in monitor.metric_names
+    }
+    if slos:
+        engine = SLOEngine(slos, store)
+        for alert_rule in engine.rules():
+            manager.add_rule(alert_rule)
+        state.slo_fn = engine.summary
 
     if isinstance(overload, OverloadConfig):
         overload = OverloadGuard(
@@ -227,15 +222,14 @@ def run_monitor(
     #: Push timings observed but not yet in the store, as parallel lists.
     pending_ts: list[float] = []
     pending_seconds: list[float] = []
-    if store is not None:
-        # The instruments still move every block, but their history is written
-        # by record_progress() and flush_push_timings(); the finally's
-        # set_history re-wires them.
-        blocks_gauge.history = lag_gauge.history = push_timing.history = None
+    # The instruments still move every block, but their history is written
+    # by record_progress() and flush_push_timings(); the finally's
+    # set_history re-wires them.
+    blocks_gauge.history = lag_gauge.history = push_timing.history = None
 
     def flush_push_timings() -> None:
         """Write the pending push timings to the store in one call."""
-        if store is not None and pending_ts:
+        if pending_ts:
             store.record_many(
                 "monitor.push_seconds", pending_ts, pending_seconds, kind="timing"
             )
@@ -245,8 +239,6 @@ def run_monitor(
     def record_progress() -> None:
         """One history point per progress gauge, at each evaluation and at
         feed end (before ``/status`` counts the evaluation or the finish)."""
-        if store is None:
-            return
         store.record("monitor.blocks_ingested", monitor.blocks_seen, kind="gauge")
         if total_blocks is not None:
             store.record(
@@ -279,12 +271,12 @@ def run_monitor(
     def ingest() -> None:
         """One incarnation of the ingest loop over the shared source.
 
-        With history, each push's ``(store.now(), seconds)`` waits in the
-        pending lists until the next window evaluation or full raw ring
-        (written at once when ``throttle`` is set), and the ``finally``
-        writes what is left when the loop ends (feed end, stop or crash).
+        Each push's ``(store.now(), seconds)`` waits in the pending lists
+        until the next window evaluation or full raw ring (written at once
+        when ``throttle`` is set), and the ``finally`` writes what is left
+        when the loop ends (feed end, stop or crash).
         """
-        now = store.now if store is not None else None
+        now = store.now
         try:
             for producers in source:
                 if stop_event.is_set():
@@ -299,22 +291,20 @@ def run_monitor(
                 state.record_push(blocks)
                 if total_blocks is not None:
                     lag_gauge.set(total_blocks - blocks)
-                if now is not None:
-                    pending_ts.append(now())
-                    pending_seconds.append(seconds)
-                    # Throttled (here or in the feeder), each push is written
-                    # as soon as it ends.
-                    if evaluated or throttle > 0.0 or len(pending_ts) >= DEFAULT_RAW_CAPACITY:
-                        flush_push_timings()
+                pending_ts.append(now())
+                pending_seconds.append(seconds)
+                # Throttled (here or in the feeder), each push is written
+                # as soon as it ends.
+                if evaluated or throttle > 0.0 or len(pending_ts) >= DEFAULT_RAW_CAPACITY:
+                    flush_push_timings()
                 if evaluated:
                     record_progress()
                     latest = monitor.latest()
                     for name, value in latest.items():
                         registry.gauge(f"monitor.latest.{name}").set(value)
-                        if store is not None:
-                            store.record(
-                                f"monitor.metric.{chain}.{name}", value, kind="metric"
-                            )
+                        store.record(
+                            f"monitor.metric.{chain}.{name}", value, kind="metric"
+                        )
                     state.record_evaluation(latest)
                     run_alert_engine()
                 if throttle > 0.0 and queue is None:

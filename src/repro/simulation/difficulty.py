@@ -52,6 +52,9 @@ ETHEREUM_RATE_POINTS = (
     (364, 6_350.0),
 )
 
+#: Blocks per Bitcoin difficulty-retarget epoch.
+RETARGET_BLOCKS = 2_016
+
 
 def piecewise_curve(points: tuple[tuple[int, float], ...], n_days: int = DAYS_IN_2019) -> np.ndarray:
     """Linearly interpolate (day, value) control points over ``n_days``."""
@@ -65,51 +68,46 @@ def piecewise_curve(points: tuple[tuple[int, float], ...], n_days: int = DAYS_IN
     return np.interp(np.arange(n_days, dtype=np.float64), xs, ys)
 
 
-def bitcoin_daily_rates(
-    seed: int,
-    n_days: int = DAYS_IN_2019,
-    target_interval: float = 600.0,
-    epoch_blocks: int = 2_016,
-) -> np.ndarray:
+def bitcoin_daily_rates(seed: int, target_interval: float = 600.0) -> np.ndarray:
     """Relative daily block-production rates under 2,016-block retargeting.
 
     Simulates the retarget feedback loop: production speed is proportional
     to ``hashrate / difficulty``; each completed epoch rescales difficulty
     by the epoch's average speed-up (clamped to the protocol's 4x bounds).
     """
-    hashrate = piecewise_curve(BITCOIN_HASHRATE_POINTS, n_days)
+    hashrate = piecewise_curve(BITCOIN_HASHRATE_POINTS)
     rng = derive_rng(seed, "difficulty/bitcoin")
     # Small day-level hashrate noise (weather, curtailment, luck).
-    hashrate = hashrate * np.exp(rng.normal(0.0, 0.01, size=n_days))
+    hashrate = hashrate * np.exp(rng.normal(0.0, 0.01, size=DAYS_IN_2019))
     target_per_day = 86_400.0 / target_interval
     difficulty = hashrate[0]  # start in equilibrium
     epoch_progress = 0.0
     epoch_speed_sum = 0.0
     epoch_days = 0
-    rates = np.empty(n_days, dtype=np.float64)
-    for day in range(n_days):
+    rates = np.empty(DAYS_IN_2019, dtype=np.float64)
+    for day in range(DAYS_IN_2019):
         speed = hashrate[day] / difficulty
         rates[day] = target_per_day * speed
         epoch_progress += rates[day]
         epoch_speed_sum += speed
         epoch_days += 1
-        if epoch_progress >= epoch_blocks:
+        if epoch_progress >= RETARGET_BLOCKS:
             mean_speed = epoch_speed_sum / epoch_days
             adjustment = float(np.clip(mean_speed, 0.25, 4.0))
             difficulty *= adjustment
-            epoch_progress -= epoch_blocks
+            epoch_progress -= RETARGET_BLOCKS
             epoch_speed_sum = 0.0
             epoch_days = 0
     return rates
 
 
-def ethereum_daily_rates(seed: int, n_days: int = DAYS_IN_2019) -> np.ndarray:
+def ethereum_daily_rates(seed: int) -> np.ndarray:
     """Relative daily block-production rates for Ethereum 2019.
 
     Per-block difficulty adjustment keeps production near target, so the
     curve is the rate model plus small noise; the January–February
     difficulty-bomb dip is in the control points.
     """
-    rates = piecewise_curve(ETHEREUM_RATE_POINTS, n_days)
+    rates = piecewise_curve(ETHEREUM_RATE_POINTS)
     rng = derive_rng(seed, "difficulty/ethereum")
-    return rates * np.exp(rng.normal(0.0, 0.008, size=n_days))
+    return rates * np.exp(rng.normal(0.0, 0.008, size=DAYS_IN_2019))

@@ -26,14 +26,13 @@ class HashrateSchedule:
         seed: int,
         jitter_sigma: float = 0.10,
         jitter_phi: float = 0.92,
-        n_days: int = DAYS_IN_2019,
     ) -> None:
         if not 0.0 <= jitter_phi < 1.0:
             raise SimulationError(f"jitter_phi must be in [0, 1), got {jitter_phi}")
         if jitter_sigma < 0:
             raise SimulationError(f"jitter_sigma must be >= 0, got {jitter_sigma}")
         self.registry = registry
-        self.n_days = n_days
+        self.n_days = n_days = DAYS_IN_2019
         pools = registry.pools
         if not pools:
             raise SimulationError("hashrate schedule needs at least one pool")

@@ -50,10 +50,8 @@ DAY60_CONSOLIDATION = (
 )
 
 
-def bitcoin_2019_params(seed: int = 2019, include_anomalies: bool = True) -> SimulationParams:
+def bitcoin_2019_params(seed: int = 2019) -> SimulationParams:
     """Calibrated Bitcoin 2019 simulation parameters."""
-    events = DAY14_EVENTS + EARLY_2019_EVENTS if include_anomalies else ()
-    spikes = DAY60_CONSOLIDATION if include_anomalies else ()
     return SimulationParams(
         spec=BITCOIN,
         registry=bitcoin_pools_2019(),
@@ -67,8 +65,8 @@ def bitcoin_2019_params(seed: int = 2019, include_anomalies: bool = True) -> Sim
         seed=seed,
         jitter_sigma=0.07,
         jitter_phi=0.92,
-        multi_coinbase_events=events,
-        share_spikes=spikes,
+        multi_coinbase_events=DAY14_EVENTS + EARLY_2019_EVENTS,
+        share_spikes=DAY60_CONSOLIDATION,
     )
 
 
@@ -92,15 +90,13 @@ def ethereum_2019_params(seed: int = 2019) -> SimulationParams:
     )
 
 
-def simulate_bitcoin_2019(
-    seed: int = 2019, include_anomalies: bool = True, blocks: int | None = None
-) -> Chain:
+def simulate_bitcoin_2019(seed: int = 2019, blocks: int | None = None) -> Chain:
     """Simulate the paper's Bitcoin 2019 dataset (54,231 blocks).
 
-    ``blocks`` keeps only the first that many; with the anomalies in, the
-    whole year is still drawn (see :meth:`ChainSimulator.run`).
+    ``blocks`` keeps only the first that many; the whole year is still
+    drawn (see :meth:`ChainSimulator.run`).
     """
-    return ChainSimulator(bitcoin_2019_params(seed, include_anomalies)).run(blocks)
+    return ChainSimulator(bitcoin_2019_params(seed)).run(blocks)
 
 
 def simulate_ethereum_2019(seed: int = 2019, blocks: int | None = None) -> Chain:

@@ -266,12 +266,11 @@ class Table:
         other: "Table",
         on: str | Sequence[str],
         how: str = "inner",
-        suffix: str = "_right",
     ) -> "Table":
         """Hash-join ``self`` with ``other`` on key column(s) ``on``.
 
         ``how`` is ``"inner"`` or ``"left"``.  Non-key columns of ``other``
-        that clash with columns of ``self`` get ``suffix`` appended.  For
+        that clash with columns of ``self`` get ``_right`` appended.  For
         left joins, unmatched rows get NaN (numeric) / None (str) on the
         right side; integer right columns are widened to float.
         """
@@ -303,7 +302,7 @@ class Table:
         for name in other.column_names:
             if name in key_names:
                 continue
-            out_name = name if name not in data else f"{name}{suffix}"
+            out_name = name if name not in data else f"{name}_right"
             column = other.column(name)
             if other.num_rows == 0:
                 values = np.full(len(right_idx), np.nan)

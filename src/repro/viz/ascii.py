@@ -82,9 +82,8 @@ def multi_series_chart(
 def ascii_histogram(
     values: Sequence[float] | np.ndarray,
     bins: int = 10,
-    width: int = 50,
 ) -> str:
-    """Render a horizontal-bar histogram of ``values``."""
+    """Render a horizontal-bar histogram of ``values`` (bars up to 50 wide)."""
     array = np.asarray(list(values), dtype=np.float64)
     if array.size == 0:
         raise ValidationError("values must not be empty")
@@ -94,7 +93,7 @@ def ascii_histogram(
     peak = max(int(counts.max()), 1)
     lines = []
     for i, count in enumerate(counts):
-        bar = "#" * int(round(count / peak * width))
+        bar = "#" * int(round(count / peak * 50))
         lines.append(f"[{edges[i]:>9.3g}, {edges[i + 1]:>9.3g}) {bar} {count}")
     return "\n".join(lines)
 

@@ -218,6 +218,53 @@ class TestSinks:
         assert received[0]["rule"] == "low"
         assert received[0]["state"] == "firing"
 
+    @staticmethod
+    def _post_to_server_answering(statuses):
+        """Deliver one firing event through a default-policy WebhookSink to
+        a server answering ``statuses`` in turn (the last one repeats).
+        Returns the POSTs it received and the sink errors counted."""
+        from repro import obs
+
+        posts = []
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                posts.append(self.path)
+                self.send_response(statuses[min(len(posts), len(statuses)) - 1])
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+
+            def log_message(self, *args):
+                pass
+
+        errors = obs.get_tracer().metrics.counter("alerts.sink_errors_total")
+        before = errors.value
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        clock = ManualClock()
+        try:
+            url = f"http://127.0.0.1:{server.server_address[1]}/hook"
+            manager = manager_on(
+                ManualClock(), AlertRule("low", metric="m", below=1.0),
+                sinks=[WebhookSink(url, clock=clock)],
+            )
+            manager.evaluate({"m": 0.5})
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5.0)
+        return len(posts), errors.value - before, clock.sleeps
+
+    def test_webhook_retries_a_transient_failure_by_default(self):
+        posts, errors, sleeps = self._post_to_server_answering([503, 200])
+        assert (posts, errors, sleeps) == (2, 0, [0.05])
+
+    def test_webhook_gives_up_after_three_attempts_by_default(self):
+        posts, errors, sleeps = self._post_to_server_answering([503])
+        assert (posts, errors, sleeps) == (3, 1, [0.05, 0.1])
+
     def test_webhook_failure_is_swallowed_and_counted(self):
         sink = WebhookSink(
             "http://127.0.0.1:1/nope",

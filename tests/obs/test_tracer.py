@@ -152,6 +152,30 @@ class TestMetrics:
         assert 0.4 < stats["p50"] < 0.6
         assert 0.9 < stats["p95"] <= 1.0
 
+    def test_timing_percentiles_describe_the_most_recent_observations(self):
+        # An 80,000-push replay whose pushes slow from 1 ms to 10 ms after
+        # the first 4,096: the percentiles follow the recent pushes.
+        hist = TimingHistogram("t")
+        for seconds in [0.001] * 4096 + [0.010] * 75_904:
+            hist.observe(seconds)
+        stats = hist.as_dict()
+        assert stats["count"] == 80_000
+        assert stats["mean"] == pytest.approx(0.0095392)
+        assert stats["p50"] == stats["p99"] == 0.010
+
+    def test_merged_samples_displace_the_oldest(self):
+        hist = TimingHistogram("t")
+        for _ in range(4096):
+            hist.observe(0.001)
+        worker = TimingHistogram("t")
+        for _ in range(3000):
+            worker.observe(0.010)
+        hist.merge_state(worker.dump_state())
+        hist.observe(0.010)
+        assert hist.count == 7097
+        samples = hist.dump_state()["samples"]
+        assert (len(samples), samples.count(0.010)) == (4096, 3001)
+
     def test_registry_instruments_are_cached(self):
         registry = MetricsRegistry()
         assert registry.counter("x") is registry.counter("x")

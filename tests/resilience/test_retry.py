@@ -5,7 +5,6 @@ import threading
 import pytest
 
 from repro.errors import (
-    CircuitOpenError,
     InjectedFaultError,
     RetryExhaustedError,
     ValidationError,
@@ -153,23 +152,6 @@ class TestCircuitBreaker:
         breaker.record_failure()
         assert breaker.state == CircuitBreaker.OPEN
         assert not breaker.allow()
-
-    def test_open_breaker_rejects_before_calling(self):
-        clock = ManualClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=60.0, clock=clock)
-        breaker.record_failure()
-        calls = flaky(0)
-        with pytest.raises(CircuitOpenError):
-            retry_call(calls, breaker=breaker, clock=clock)
-        assert calls.state["calls"] == 0
-
-    def test_breaker_trips_mid_retry(self):
-        clock = ManualClock()
-        breaker = CircuitBreaker(failure_threshold=2, reset_timeout=60.0, clock=clock)
-        policy = RetryPolicy(max_attempts=10, base_delay=0.0, jitter=0.0)
-        with pytest.raises(CircuitOpenError):
-            retry_call(flaky(99), policy=policy, breaker=breaker, clock=clock)
-        assert breaker.open_count == 1
 
     def test_failure_run_saturates_at_threshold(self):
         """A late failure after the trip and a failed half-open probe re-arm

@@ -1,10 +1,13 @@
 """Tests for the load generator: config validation, classification,
 percentiles, and a real closed/open-loop run against a live server."""
 
+import numpy as np
 import pytest
 
+from repro.core.series import MeasurementSeries
 from repro.errors import ValidationError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, TimingHistogram
+from repro.obs.timeseries import QuantileSketch
 from repro.serve import (
     LoadgenConfig,
     LoadgenReport,
@@ -13,23 +16,35 @@ from repro.serve import (
     format_report,
     run_loadgen,
 )
-from repro.serve.loadgen import percentile
+from repro.serve.loadgen import _Collector
 
 
-class TestPercentile:
-    def test_nearest_rank(self):
-        values = [float(v) for v in range(1, 101)]
-        assert percentile(values, 50) == 50.0
-        assert percentile(values, 95) == 95.0
-        assert percentile(values, 99) == 99.0
-
-    def test_single_value(self):
-        assert percentile([7.0], 50) == 7.0
-        assert percentile([7.0], 99) == 7.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            percentile([], 50)
+class TestOnePercentile:
+    def test_every_percentile_is_numpys_linear_one(self):
+        """Loadgen's report, the timing histogram, the history sketch and a
+        measurement series give the same percentiles of one sample set."""
+        samples = [0.001 * v for v in (7, 1, 30, 2, 2, 11, 5, 19, 3)]
+        collector = _Collector()
+        histogram = TimingHistogram("t")
+        for seconds in samples:
+            collector.record(200, seconds, stale=False, retry_after=False)
+            histogram.observe(seconds)
+        sketch = QuantileSketch()
+        sketch.add_many(samples)
+        series = MeasurementSeries(
+            "c", "m", "w", np.arange(len(samples)),
+            tuple(map(str, range(len(samples)))), np.asarray(samples),
+        )
+        report = collector.report(1.0)
+        for pct, loadgen_ms in ((50, report.p50_ms), (95, report.p95_ms),
+                                (99, report.p99_ms)):
+            expected = float(np.percentile(samples, pct))
+            assert histogram.percentile(pct) == expected
+            assert sketch.quantile(pct / 100) == expected
+            assert series.quantile(pct / 100) == expected
+            assert loadgen_ms == expected * 1000
+        # p95 falls between samples (19 and 30 ms): interpolated, not a rank.
+        assert report.p95_ms == pytest.approx(25.6)
 
 
 class TestLoadgenConfig:

@@ -45,11 +45,6 @@ class TestBitcoinDataset:
     def test_average_daily_rate_near_144(self, btc_chain):
         assert btc_chain.n_blocks / 365 == pytest.approx(148.6, abs=1.0)
 
-    def test_anomalies_can_be_disabled(self):
-        params = bitcoin_2019_params(include_anomalies=False)
-        assert params.multi_coinbase_events == ()
-        assert params.share_spikes == ()
-
 
 class TestEthereumDataset:
     def test_exact_paper_block_count(self, eth_chain):

@@ -292,14 +292,19 @@ class TestMonitorCommand:
         ]
 
 
+#: The CI chaos-smoke ETH drill.
+ETH_DRILL = [
+    "chaos", "--seed", "7", "--chain", "ethereum", "--blocks", "2048",
+    "--faults", "read_error:rate=0.3;truncate_page:rate=0.2;"
+    "duplicate_page:rate=0.2;malformed_block:rate=0.1",
+]
+
+
 class TestChaosCommand:
     def test_ethereum_drill_stdout_is_pinned(self, capsys):
-        # The CI chaos-smoke ETH drill, byte for byte.
-        code = main(
-            ["chaos", "--seed", "7", "--chain", "ethereum", "--blocks", "2048",
-             "--faults", "read_error:rate=0.3;truncate_page:rate=0.2;"
-             "duplicate_page:rate=0.2;malformed_block:rate=0.1"]
-        )
+        # The CI chaos-smoke ETH drill, byte for byte: a 2,048-block prefix
+        # is swept at N = 1,024 (not the day's 6,000), so 3 windows compare.
+        code = main(ETH_DRILL)
         assert code == 0
         assert capsys.readouterr().out.splitlines() == [
             "chaos drill: ethereum prefix of 2048 blocks, seed=7, "
@@ -308,11 +313,37 @@ class TestChaosCommand:
             "integrity: 2 issue(s) detected, 1 refetched, 0 interpolated, "
             "0 dropped, 0 deduplicated",
             "metric series: 4 attribution policies x 3 metrics "
-            "over sliding-6000 compared byte-for-byte",
+            "over sliding-1024 (3 windows) compared byte-for-byte",
             "cache: corrupted partition caught by checksum and rebuilt",
             "OK: recovery byte-identical across 1 fault class(es) "
             "(+ cache corruption healed)",
         ]
+
+    def test_metric_comparison_catches_a_divergence(self, monkeypatch, capsys):
+        """With the chain-level check blinded, one re-attributed block in the
+        recovered chain must still fail the drill through its metric series."""
+        import repro.resilience
+
+        real_fetch = repro.resilience.fetch_chain
+
+        def fetch_with_one_wrong_producer(source, **kwargs):
+            result = real_fetch(source, **kwargs)
+            if kwargs.get("injector") is not None:
+                ids = result.chain.producer_ids
+                ids[0] = (ids[0] + 1) % len(result.chain.producer_names)
+            return result
+
+        monkeypatch.setattr(repro.resilience, "chains_equal", lambda a, b: True)
+        monkeypatch.setattr(repro.resilience, "fetch_chain", fetch_with_one_wrong_producer)
+        assert main(ETH_DRILL) == 1
+        err = capsys.readouterr().err
+        assert "FAIL: per-address/gini series not byte-identical" in err
+
+    def test_drill_without_a_window_fails(self, capsys):
+        assert main(["chaos", "--seed", "7", "--blocks", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "sliding-2 (0 windows)" in captured.out
+        assert "FAIL: sliding-2 has no window to compare" in captured.err
 
     def test_seeded_drill_recovers_byte_identically(self, capsys):
         code = main(["chaos", "--seed", "7", "--blocks", "2048",

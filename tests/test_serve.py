@@ -765,28 +765,3 @@ class TestConcurrentScrapesDuringAlertTransition:
             print_fn=lambda _line: None,
         )
         assert result.blocks == 60
-
-    def test_slos_without_history_rejected(self):
-        from repro.obs.slo import SLO
-
-        with pytest.raises(ResilienceError, match="history"):
-            run_monitor(
-                synthetic_feed(20),
-                window_size=10,
-                stride=5,
-                history=False,
-                slos=[SLO("a", "availability", 0.99)],
-                print_fn=lambda _line: None,
-            )
-
-    def test_history_disabled_leaves_registry_free(self):
-        result = run_monitor(
-            synthetic_feed(20),
-            window_size=10,
-            stride=5,
-            history=False,
-            alert_rules=rules_from_thresholds(above=[("entropy", 1.0)]),
-            print_fn=lambda _line: None,
-        )
-        assert obs.get_tracer().metrics.history is None
-        assert result.alerts_fired == 1  # alerting does not need history
