@@ -29,6 +29,8 @@ QUERIES = [
     "SELECT d.producer, d.n FROM (SELECT producer, COUNT(*) AS n "
     "FROM blocks GROUP BY producer) d WHERE d.n > 3 ORDER BY d.producer",
     "SELECT height FROM blocks WHERE height = 7 OR producer = 'p2' ORDER BY height",
+    "SELECT e.start, b.producer FROM epochs e JOIN blocks b ON e.start = b.height",
+    "SELECT e.start, b.producer FROM epochs e LEFT JOIN blocks b ON e.mark = b.height",
 ]
 
 
@@ -45,6 +47,14 @@ def catalog() -> dict[str, Table]:
         # p4 is missing so joins exercise non-matching keys / LEFT NULLs.
         "pools": Table(
             {"producer": ["p0", "p1", "p2", "p3"], "region": ["w", "x", "y", "z"]}
+        ),
+        # Numeric keys into blocks.height: duplicates, misses, -0.0, NaN and
+        # a float that equals no int.
+        "epochs": Table(
+            {
+                "start": [10, 0, 10, 39, 40, -1],
+                "mark": [10.0, -0.0, 10.5, 39.0, float("nan"), 0.0],
+            }
         ),
     }
 
@@ -131,22 +141,24 @@ class TestOptimizerEquivalenceProperties:
     @given(random_tables(), random_tables())
     @settings(max_examples=25)
     def test_join_strategies_identical(self, left, right):
-        sql = (
-            "SELECT l.height, r.height AS rh FROM l JOIN r "
-            "ON l.producer = r.producer"
-        )
-        baseline = snapshot(QueryEngine(
-            {"l": left, "r": right}, optimizer=False
-        ).execute(sql))
-        for disabled in (
-            [],
-            ["hash-join", "index-join"],
-            ["hash-join", "sort-merge-join"],
-        ):
-            engine = QueryEngine(
-                {"l": left, "r": right},
-                options=PlannerOptions.with_disabled(disabled),
+        for key in ("producer", "height"):
+            sql = (
+                "SELECT l.height, r.producer AS rp FROM l JOIN r "
+                f"ON l.{key} = r.{key}"
             )
-            engine.create_index("r", "producer", "hash")
-            engine.execute("ANALYZE")
-            assert snapshot(engine.execute(sql)) == baseline, disabled
+            baseline = snapshot(QueryEngine(
+                {"l": left, "r": right}, optimizer=False
+            ).execute(sql))
+            for disabled in (
+                [],
+                ["hash-join", "index-join"],
+                ["hash-join", "sort-merge-join"],
+            ):
+                engine = QueryEngine(
+                    {"l": left, "r": right},
+                    options=PlannerOptions.with_disabled(disabled),
+                )
+                engine.create_index("r", "producer", "hash")
+                engine.create_index("r", "height", "sorted")
+                engine.execute("ANALYZE")
+                assert snapshot(engine.execute(sql)) == baseline, (key, disabled)
