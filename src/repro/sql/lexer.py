@@ -38,16 +38,19 @@ def tokenize(text: str) -> list[Token]:
             i = n if newline < 0 else newline + 1
             continue
         if ch == "'":
-            value, i = _read_string(text, i)
+            value, end = _read_string(text, i)
             tokens.append(Token(STRING, value, i))
+            i = end
             continue
         if ch in ('"', "`"):
-            value, i = _read_quoted_ident(text, i, ch)
+            value, end = _read_quoted_ident(text, i, ch)
             tokens.append(Token(IDENT, value, i))
+            i = end
             continue
         if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            value, i = _read_number(text, i)
+            value, end = _read_number(text, i)
             tokens.append(Token(NUMBER, value, i))
+            i = end
             continue
         if ch.isalpha() or ch == "_":
             start = i

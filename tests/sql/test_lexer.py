@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SqlSyntaxError
 from repro.sql.lexer import tokenize
+from repro.sql.parser import parse
 from repro.sql.tokens import EOF, IDENT, KEYWORD, NUMBER, OPERATOR, PUNCT, STRING
 
 
@@ -106,3 +107,40 @@ class TestOperators:
         with pytest.raises(SqlSyntaxError) as excinfo:
             tokenize("a ; b")
         assert excinfo.value.position == 2
+
+
+class TestOffsets:
+    def test_every_token_kind_is_stamped_with_its_start(self):
+        sql = "SELECT \"q c\", `b` FROM t WHERE x >= 1.5e2 AND y = 'it''s' -- note\nLIMIT 3"
+        tokens = [(t.type, t.value, t.position) for t in tokenize(sql)]
+        assert tokens == [
+            (KEYWORD, "SELECT", 0),
+            (IDENT, "q c", 7),
+            (PUNCT, ",", 12),
+            (IDENT, "b", 14),
+            (KEYWORD, "FROM", 18),
+            (IDENT, "t", 23),
+            (KEYWORD, "WHERE", 25),
+            (IDENT, "x", 31),
+            (OPERATOR, ">=", 33),
+            (NUMBER, 150.0, 36),
+            (KEYWORD, "AND", 42),
+            (IDENT, "y", 46),
+            (OPERATOR, "=", 48),
+            (STRING, "it's", 50),
+            (KEYWORD, "LIMIT", 66),
+            (NUMBER, 3, 72),
+            (EOF, None, 73),
+        ]
+
+    @pytest.mark.parametrize(
+        "sql, offset",
+        [
+            ("SELECT a FROM t LIMIT 1.5", 22),
+            ("SELECT a FROM t WHERE b = 'x' 'y'", 30),
+            ('SELECT a FROM t WHERE b = 1 "u"', 28),
+        ],
+    )
+    def test_parse_errors_point_at_the_literal(self, sql, offset):
+        with pytest.raises(SqlSyntaxError, match=rf"\(at offset {offset}\)$"):
+            parse(sql)
