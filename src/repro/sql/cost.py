@@ -16,7 +16,11 @@ Three concerns live here:
 
 Costs are relative, not wall-clock predictions: what matters is the
 ordering between strategies, e.g. an index nested-loop join wins when the
-probe side is much smaller than the indexed side.
+probe side is much smaller than the indexed side.  The three strategies
+execute as one vectorized kernel (``repro.sql.executor._equi_join``: sort
+the right keys, or read them presorted from a sorted index, then
+binary-search every left key), so the strategy chosen sets the plan's
+label and cost, and whether a sorted index supplies the sort.
 """
 
 from __future__ import annotations
@@ -195,12 +199,12 @@ def _clamp(value: float) -> float:
 
 
 def cost_hash_join(left_rows: int, right_rows: int) -> float:
-    """Build a dict over the right side, probe with a loop over the left."""
+    """Hash join's price: one pass over the right keys to build, one over the left to probe."""
     return 1.2 * right_rows + 1.0 * left_rows
 
 
 def cost_sort_merge_join(left_rows: int, right_rows: int) -> float:
-    """Sort both inputs, then a linear merge."""
+    """Sort-merge's price: sort both inputs, then merge them in one pass."""
     return (
         1.5 * (left_rows + right_rows)
         + 0.1 * (left_rows * math.log2(left_rows + 2) + right_rows * math.log2(right_rows + 2))
@@ -208,7 +212,7 @@ def cost_sort_merge_join(left_rows: int, right_rows: int) -> float:
 
 
 def cost_index_join(left_rows: int, right_rows: int, index_kind: str) -> float:
-    """Probe an existing right-side index once per left row."""
+    """Index join's price: one lookup in an existing right-side index per left row."""
     per_lookup = 3.0 if index_kind == "hash" else 2.0 + 0.2 * math.log2(right_rows + 2)
     return per_lookup * left_rows
 

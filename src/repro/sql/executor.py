@@ -61,7 +61,7 @@ from repro.sql.planner import (
 from repro.table import Table
 from repro.table.aggregates import factorize, grouped_aggregate
 from repro.table.column import Column
-from repro.table.index import Index, build_index
+from repro.table.index import Index, SortedIndex, build_index
 from repro.table.stats import TableStatistics
 
 logger = logging.getLogger(__name__)
@@ -619,17 +619,17 @@ def _run_join(node: PlanNode, ctx: _Context) -> Table:
     right_scope = right.scope.qualified()
     left_key = left_scope.resolve(join.on_left)
     right_key = right_scope.resolve(join.on_right)
-    strategy = join_plan.strategy if join_plan is not None else "hash"
-    if strategy == "sort_merge":
-        joined = _sort_merge_join(
-            left_scope.table, left_key, right_scope.table, right_key, join.kind
-        )
-    elif strategy == "index":
+    # Hash and sort-merge both sort the right keys; an index join reads them
+    # presorted from a sorted index (a hash index holds no order to read).
+    presorted = None
+    if join_plan is not None and join_plan.strategy == "index":
         index = ctx.engine._indexes[join_plan.index_table][join_plan.index_column]
-        joined = _index_join(left_scope.table, left_key, right_scope.table, index, join.kind)
-    else:
-        joined = _hash_join(left_scope.table, left_key, right_scope.table, right_key, join.kind)
-    return ctx.rows(_Scope.joined(joined))
+        presorted = index if isinstance(index, SortedIndex) else None
+    left_table, right_table = left_scope.table, right_scope.table
+    left_rows, right_rows = _equi_join(
+        left_table.column(left_key), right_table.column(right_key), join.kind, presorted
+    )
+    return ctx.rows(_Scope.joined(_assemble_join(left_table, right_table, left_rows, right_rows)))
 
 
 # -- operators: projection and aggregation -----------------------------------------
@@ -974,114 +974,102 @@ class _Scope:
         return table.rename(renames)
 
 
-def _hash_join(
-    left: Table, left_key: str, right: Table, right_key: str, how: str
-) -> Table:
-    """Equality hash-join on one key column per side (names may differ).
+def _equi_join(
+    left: Column, right: Column, how: str, presorted: SortedIndex | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matched ``(left_rows, right_rows)`` of an equality join on two key columns.
 
-    Emits matches in ``(left row, right row)`` lexicographic order — the
-    canonical pair order every join strategy reproduces so results are
-    byte-identical regardless of the optimizer's choice.
+    Pairs come in the canonical order every strategy shares: left rows
+    ascending, each left row's matches ascending, and a LEFT miss as right
+    row -1.  Keys are equal exactly when a dict of the right keys would
+    find the left key (:func:`_join_keys`).  The right keys are sorted
+    once, stably, so equal keys keep their row order; ``presorted``, a
+    sorted index over ``right``'s rows on the key, already holds them so.
+    Each left key's matches are one range of that order, found by two
+    binary searches, and ``repeat``/``cumsum`` spread the ranges into pairs.
     """
-    build: dict[Any, list[int]] = {}
-    for j, value in enumerate(right.column(right_key).to_list()):
-        build.setdefault(value, []).append(j)
-    left_rows: list[int] = []
-    right_rows: list[int] = []
-    for i, value in enumerate(left.column(left_key).to_list()):
-        matches = build.get(value)
-        if matches:
-            left_rows.extend([i] * len(matches))
-            right_rows.extend(matches)
-        elif how == "left":
-            left_rows.append(i)
-            right_rows.append(-1)
-    return _assemble_join(left, right, left_rows, right_rows)
+    build = right if presorted is None else presorted.keys
+    left_keys, left_ok, build_keys, build_ok = _join_keys(left, build)
+    if presorted is None:
+        order = np.argsort(build_keys, kind="stable")
+        build_keys = build_keys[order]
+        build_ok = None if build_ok is None else build_ok[order]
+    else:
+        order = presorted.order
+    if build_ok is not None:
+        order, build_keys = order[build_ok], build_keys[build_ok]
+    first = np.searchsorted(build_keys, left_keys, side="left")
+    counts = np.searchsorted(build_keys, left_keys, side="right") - first
+    if left_ok is not None:
+        counts[~left_ok] = 0
+    # The left rows that emit pairs: all of them in a LEFT join, else the matched.
+    rows = np.arange(len(counts), dtype=np.int64) if how == "left" else np.flatnonzero(counts)
+    counts, first = counts[rows], first[rows]
+    per_row = np.maximum(counts, 1)
+    left_rows = np.repeat(rows, per_row)
+    # Pair p of left row i takes match p - (i's first pair) of i's range.
+    slots = np.arange(len(left_rows), dtype=np.int64) + np.repeat(
+        first - (np.cumsum(per_row) - per_row), per_row
+    )
+    hit = np.repeat(counts > 0, per_row)
+    right_rows = np.full(len(left_rows), -1, dtype=np.int64)
+    right_rows[hit] = order[slots[hit]]
+    return left_rows, right_rows
 
 
-def _sort_merge_join(
-    left: Table, left_key: str, right: Table, right_key: str, how: str
-) -> Table:
-    """Sort-merge equality join, byte-identical to :func:`_hash_join`.
+def _join_keys(
+    left: Column, right: Column
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray | None]:
+    """Both key columns as arrays of one comparable dtype, each with a mask
+    of the rows that can match at all (None: every row).
 
-    Keys are dense-coded through one shared dict (so equality semantics —
-    ``None`` matches ``None``, NaN never matches — are exactly the hash
-    join's), both sides are sorted by code, merged linearly, and the match
-    pairs re-sorted into canonical ``(left, right)`` order.
+    Equality is a dict's, Python's ``==`` and ``hash``: numbers compare
+    exactly, ``None`` matches ``None``, NaN never matches and a string
+    never equals a number.  Numeric pairs stay numeric
+    (:func:`_number_keys`).  Any other pair goes through one dict
+    factorization of the right then the left values, whose ids are equal
+    exactly where the values are; an encoded column contributes its
+    categories and its rows take their category's id.  Ids follow first
+    appearance, so sorted right values keep sorted ids.
     """
-    left_values = left.column(left_key).to_list()
-    right_values = right.column(right_key).to_list()
-    mapping: dict[Any, int] = {}
-
-    def encode(values: list) -> np.ndarray:
-        codes = np.empty(len(values), dtype=np.int64)
-        for i, value in enumerate(values):
-            code = mapping.get(value)
-            if code is None:
-                code = len(mapping)
-                mapping[value] = code
-            codes[i] = code
-        return codes
-
-    left_codes = encode(left_values)
-    right_codes = encode(right_values)
-    left_order = np.argsort(left_codes, kind="stable")
-    right_order = np.argsort(right_codes, kind="stable")
-    left_rows: list[int] = []
-    right_rows: list[int] = []
-    i = j = 0
-    n_left, n_right = len(left_order), len(right_order)
-    while i < n_left:
-        code = left_codes[left_order[i]]
-        while j < n_right and right_codes[right_order[j]] < code:
-            j += 1
-        j_end = j
-        while j_end < n_right and right_codes[right_order[j_end]] == code:
-            j_end += 1
-        i_end = i
-        while i_end < n_left and left_codes[left_order[i_end]] == code:
-            i_end += 1
-        if j_end > j:
-            run = right_order[j:j_end]
-            for left_row in left_order[i:i_end]:
-                left_rows.extend([int(left_row)] * len(run))
-                right_rows.extend(int(r) for r in run)
-        elif how == "left":
-            for left_row in left_order[i:i_end]:
-                left_rows.append(int(left_row))
-                right_rows.append(-1)
-        i = i_end
-        j = j_end
-    left_arr = np.asarray(left_rows, dtype=np.int64)
-    right_arr = np.asarray(right_rows, dtype=np.int64)
-    if len(left_arr):
-        order = np.lexsort((right_arr, left_arr))
-        left_arr = left_arr[order]
-        right_arr = right_arr[order]
-    return _assemble_join(left, right, left_arr, right_arr)
+    kinds = {left.kind, right.kind}
+    if "str" not in kinds:
+        as_int = "int" in kinds or "float" not in kinds
+        return (*_number_keys(left, as_int), *_number_keys(right, as_int))
+    (right_values, right_codes), (left_values, left_codes) = map(_dictionary, (right, left))
+    ids = factorize([np.concatenate([right_values, left_values])])[0]
+    right_ids, left_ids = ids[: len(right_values)], ids[len(right_values) :]
+    if right_codes is not None:
+        right_ids = right_ids[right_codes]
+    if left_codes is not None:
+        left_ids = left_ids[left_codes]
+    return left_ids, None, right_ids, None
 
 
-def _index_join(
-    left: Table, left_key: str, right: Table, index: Any, how: str
-) -> Table:
-    """Index nested-loop join probing a right-side secondary index.
+def _number_keys(column: Column, as_int: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """A numeric key column as int64 (``as_int``) or float64 keys, and the
+    rows that can match.
 
-    ``index`` was built over the right base table, whose row positions the
-    planner guarantees are still valid (sequential scan, no pushed
-    filters).  ``lookup_join`` uses dict-equality semantics and returns
-    ascending positions, so the output is naturally in canonical order.
+    NaN matches nothing.  A float joined to an int compares as int64: only
+    an integral value inside int64's range can equal an int, and comparing
+    those exactly keeps an int beyond 2**53 from matching the float it
+    rounds to.
     """
-    left_rows: list[int] = []
-    right_rows: list[int] = []
-    for i, value in enumerate(left.column(left_key).to_list()):
-        matches = index.lookup_join(value)
-        if len(matches):
-            left_rows.extend([i] * len(matches))
-            right_rows.extend(int(j) for j in matches)
-        elif how == "left":
-            left_rows.append(i)
-            right_rows.append(-1)
-    return _assemble_join(left, right, left_rows, right_rows)
+    values = column.values
+    if column.kind != "float":
+        return values.astype(np.int64 if as_int else np.float64, copy=False), None
+    if not as_int:
+        return values, ~np.isnan(values)
+    exact = (values == np.floor(values)) & (values >= -(2.0**63)) & (values < 2.0**63)
+    return np.where(exact, values, 0.0).astype(np.int64), exact
+
+
+def _dictionary(column: Column) -> tuple[np.ndarray, np.ndarray | None]:
+    """The values a key column's factorization reads, and the codes that
+    spread them over its rows (None: the values are the rows)."""
+    if column.codes is not None:
+        return column.categories, column.codes
+    return column.values, None
 
 
 def _assemble_join(left: Table, right: Table, left_rows: Any, right_rows: Any) -> Table:

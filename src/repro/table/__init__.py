@@ -3,9 +3,9 @@
 This package is the relational substrate of the reproduction: the pandas
 stand-in that the chain datasets, the SQL engine and the measurement
 pipeline all run on.  It supports the operations the study needs —
-filter, select, sort, group-by with aggregation, join, concatenation and
+filter, select, sort, group-by with aggregation, concatenation and
 CSV/JSONL round-trips — over four column kinds (int64, float64, bool,
-str).
+str).  Joins are the SQL engine's (:mod:`repro.sql`).
 
 Example
 -------

@@ -10,12 +10,10 @@ Two structures back the SQL optimizer's index access paths:
 
 Both return **ascending row positions**, so an index scan visits rows in
 the same physical order as a full scan and the results stay byte-identical
-to the unindexed path.  Lookup semantics are split to mirror the executor:
-
-- ``lookup_eq`` matches SQL ``=``: NULL (None) and NaN never match.
-- ``lookup_join`` matches the hash-join build dict: ``None`` matches
-  ``None`` rows, while NaN still never matches (Python floats from two
-  ``to_list`` calls are distinct objects and ``nan != nan``).
+to the unindexed path.  ``lookup_eq`` matches SQL ``=``: NULL (None) and
+NaN never match.  Joins do not probe row by row: the SQL executor's join
+kernel reads a sorted index's ``keys`` and ``order`` as its presorted
+build side.
 
 Indexes are immutable snapshots of the column they were built from; the
 query engine rebuilds them when a table is re-registered.
@@ -56,28 +54,26 @@ class SortedIndex:
                 "string column contains NULLs (use a hash index)"
             )
         order = np.argsort(values, kind="stable").astype(np.int64)
-        self._order = order
-        ordered = values[order]
-        n_valid = len(ordered)
+        n_valid = len(values)
         if column.kind == "float":
             # NaNs sort last under argsort; exclude them from the search range.
             n_valid -= int(np.isnan(values).sum())
-        self._valid = ordered[:n_valid]
+        #: Row positions of the non-NaN values in value order, equal values
+        #: in row order.
+        self.order = order[:n_valid]
+        #: Those values in that order.
+        self.keys = Column(values[self.order], column.kind)
         self.n_rows = len(values)
 
     def lookup_eq(self, value: Any) -> np.ndarray:
         """Ascending positions of rows where ``column = value``."""
         if value is None or _is_nan(value):
             return _EMPTY
-        lo = int(np.searchsorted(self._valid, value, side="left"))
-        hi = int(np.searchsorted(self._valid, value, side="right"))
+        lo = int(np.searchsorted(self.keys.values, value, side="left"))
+        hi = int(np.searchsorted(self.keys.values, value, side="right"))
         if hi <= lo:
             return _EMPTY
-        return np.sort(self._order[lo:hi])
-
-    def lookup_join(self, value: Any) -> np.ndarray:
-        """Join-probe positions; same as equality here (no NULL keys stored)."""
-        return self.lookup_eq(value)
+        return np.sort(self.order[lo:hi])
 
     def lookup_range(
         self,
@@ -87,15 +83,16 @@ class SortedIndex:
         include_high: bool = True,
     ) -> np.ndarray:
         """Ascending positions of rows in the (possibly half-open) interval."""
+        valid = self.keys.values
         lo = 0
-        hi = len(self._valid)
+        hi = len(valid)
         if low is not None:
-            lo = int(np.searchsorted(self._valid, low, side="left" if include_low else "right"))
+            lo = int(np.searchsorted(valid, low, side="left" if include_low else "right"))
         if high is not None:
-            hi = int(np.searchsorted(self._valid, high, side="right" if include_high else "left"))
+            hi = int(np.searchsorted(valid, high, side="right" if include_high else "left"))
         if hi <= lo:
             return _EMPTY
-        return np.sort(self._order[lo:hi])
+        return np.sort(self.order[lo:hi])
 
 
 class HashIndex:
@@ -109,7 +106,7 @@ class HashIndex:
         buckets: dict[Any, list[int]] = {}
         for position, value in enumerate(column.to_list()):
             if _is_nan(value):
-                continue  # NaN never matches itself in `=` or join probes
+                continue  # NaN never matches itself in `=`
             buckets.setdefault(value, []).append(position)
         self._buckets = {
             value: np.asarray(rows, dtype=np.int64) for value, rows in buckets.items()
@@ -121,15 +118,6 @@ class HashIndex:
         if value is None or _is_nan(value):
             return _EMPTY
         return self._buckets.get(value, _EMPTY)
-
-    def lookup_join(self, value: Any) -> np.ndarray:
-        """Join-probe positions: like ``lookup_eq`` but None matches None."""
-        if _is_nan(value):
-            return _EMPTY
-        try:
-            return self._buckets.get(value, _EMPTY)
-        except TypeError:  # unhashable probe value
-            return _EMPTY
 
 
 Index = SortedIndex | HashIndex

@@ -259,73 +259,6 @@ class Table:
             .sort_by(["count", key], descending=[True, False])
         )
 
-    # -- combination --------------------------------------------------------
-
-    def join(
-        self,
-        other: "Table",
-        on: str | Sequence[str],
-        how: str = "inner",
-    ) -> "Table":
-        """Hash-join ``self`` with ``other`` on key column(s) ``on``.
-
-        ``how`` is ``"inner"`` or ``"left"``.  Non-key columns of ``other``
-        that clash with columns of ``self`` get ``_right`` appended.  For
-        left joins, unmatched rows get NaN (numeric) / None (str) on the
-        right side; integer right columns are widened to float.
-        """
-        if how not in ("inner", "left"):
-            raise TableError(f"unsupported join type: {how!r}")
-        key_names = [on] if isinstance(on, str) else list(on)
-        build: dict[tuple, list[int]] = {}
-        right_keys = [other.column(k).to_list() for k in key_names]
-        for j in range(other.num_rows):
-            key = tuple(col[j] for col in right_keys)
-            build.setdefault(key, []).append(j)
-        left_keys = [self.column(k).to_list() for k in key_names]
-        left_indices: list[int] = []
-        right_indices: list[int] = []
-        for i in range(self.num_rows):
-            key = tuple(col[i] for col in left_keys)
-            matches = build.get(key)
-            if matches:
-                left_indices.extend([i] * len(matches))
-                right_indices.extend(matches)
-            elif how == "left":
-                left_indices.append(i)
-                right_indices.append(-1)
-        left_part = self.take(np.asarray(left_indices, dtype=np.int64))
-        data = {name: left_part.column(name) for name in left_part.column_names}
-        right_idx = np.asarray(right_indices, dtype=np.int64)
-        missing = right_idx < 0
-        safe_idx = np.where(missing, 0, right_idx)
-        for name in other.column_names:
-            if name in key_names:
-                continue
-            out_name = name if name not in data else f"{name}_right"
-            column = other.column(name)
-            if other.num_rows == 0:
-                values = np.full(len(right_idx), np.nan)
-                data[out_name] = Column(values, "float")
-                continue
-            taken = column.values[safe_idx]
-            if missing.any():
-                if column.kind == "str":
-                    taken = taken.copy()
-                    taken[missing] = None
-                    data[out_name] = Column(taken, "str")
-                elif column.kind == "bool":
-                    raise TableError(
-                        f"left join cannot null boolean column {name!r}; drop it first"
-                    )
-                else:
-                    values = taken.astype(np.float64)
-                    values[missing] = np.nan
-                    data[out_name] = Column(values, "float")
-            else:
-                data[out_name] = Column(taken, column.kind)
-        return Table(data)
-
     # -- scalar aggregation ---------------------------------------------------
 
     def aggregate_scalar(self, column: str, func: str) -> Any:

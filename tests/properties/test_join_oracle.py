@@ -147,24 +147,8 @@ def check_strategy(pair: str, strategy: str, data) -> None:
         assert table_bytes(result) == table_bytes(expected)
 
 
-#: The per-row sorted-index probe gets these wrong: numpy casts the probe
-#: value to the index's dtype (an int beyond 2**53 becomes the float it
-#: rounds to, "1" becomes 1) or cannot order it among strings (an int).
-SORTED_PROBE_DEFECTS = {"float-int", "int-float", "int-str", "str-int"}
-CASES = [
-    pytest.param(
-        pair,
-        strategy,
-        marks=pytest.mark.xfail(strict=True, reason="sorted-index probe casts its key")
-        if strategy == "index-sorted" and pair in SORTED_PROBE_DEFECTS
-        else (),
-    )
-    for pair in sorted(PAIRS)
-    for strategy in sorted(STRATEGIES)
-]
-
-
-@pytest.mark.parametrize("pair,strategy", CASES)
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+@pytest.mark.parametrize("pair", sorted(PAIRS))
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_every_strategy_matches_the_dict_loop(pair, strategy, data):

@@ -4,8 +4,23 @@ import numpy as np
 import pytest
 
 from repro.errors import TableError
+from repro.sql import PlannerOptions, QueryEngine
 from repro.table import Table, build_index
 from repro.table.index import HashIndex, SortedIndex
+
+
+def index_join(left: Table, right: Table, key: str) -> list[tuple[int, int]]:
+    """``(left row, right row)`` pairs of an SQL join forced through a hash
+    index on ``right.key``."""
+    engine = QueryEngine(
+        {"l": left.with_column("i", list(range(left.num_rows))),
+         "r": right.with_column("j", list(range(right.num_rows)))},
+        options=PlannerOptions.with_disabled(["hash-join", "sort-merge-join"]),
+    )
+    engine.create_index("r", key, "hash")
+    sql = f"SELECT l.i, r.j FROM l JOIN r ON l.{key} = r.{key}"
+    assert "strategy=index" in engine.explain(sql)
+    return [(row["i"], row["j"]) for row in engine.execute(sql).to_rows()]
 
 
 @pytest.fixture
@@ -67,15 +82,15 @@ class TestHashIndex:
     def test_null_semantics_split(self):
         table = Table({"name": ["a", None, "b", None]})
         index = build_index(table, "name", "hash")
-        # SQL `=` never matches NULL; a join-build dict does.
+        # SQL `=` never matches NULL; an index join through it does.
         assert index.lookup_eq(None).tolist() == []
-        assert index.lookup_join(None).tolist() == [1, 3]
+        assert index_join(Table({"name": [None]}), table, "name") == [(0, 1), (0, 3)]
 
     def test_nan_never_matches(self):
         table = Table({"x": [1.0, np.nan, 2.0]})
         index = build_index(table, "x", "hash")
         assert index.lookup_eq(float("nan")).tolist() == []
-        assert index.lookup_join(float("nan")).tolist() == []
+        assert index_join(Table({"x": [np.nan, 2.0]}), table, "x") == [(1, 2)]
 
     def test_all_duplicate_column(self):
         table = Table({"x": [7] * 100})

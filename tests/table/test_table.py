@@ -240,41 +240,6 @@ class TestDistinctAndValueCounts:
         assert out["count"].tolist() == [3, 2, 1]
 
 
-class TestJoin:
-    def test_inner_join(self, blocks):
-        pools = Table({"miner": ["a", "b"], "pool": ["P1", "P2"]})
-        out = blocks.join(pools, on="miner")
-        assert out.num_rows == 5  # 'c' rows dropped
-        assert set(out["pool"].tolist()) == {"P1", "P2"}
-
-    def test_left_join_fills_none(self, blocks):
-        pools = Table({"miner": ["a"], "pool": ["P1"]})
-        out = blocks.join(pools, on="miner", how="left")
-        assert out.num_rows == 6
-        c_row = out.filter(out["miner"] == "c").row(0)
-        assert c_row["pool"] is None
-
-    def test_left_join_widens_ints_to_float(self, blocks):
-        extra = Table({"miner": ["a"], "rank": [1]})
-        out = blocks.join(extra, on="miner", how="left")
-        assert np.isnan(out.filter(out["miner"] == "c")["rank"]).all()
-
-    def test_join_name_clash_gets_suffix(self):
-        left = Table({"k": [1], "v": [10]})
-        right = Table({"k": [1], "v": [20]})
-        out = left.join(right, on="k")
-        assert out.row(0) == {"k": 1, "v": 10, "v_right": 20}
-
-    def test_join_duplicate_keys_expand(self):
-        left = Table({"k": [1], "v": [10]})
-        right = Table({"k": [1, 1], "w": [1, 2]})
-        assert left.join(right, on="k").num_rows == 2
-
-    def test_unknown_join_type_raises(self, blocks):
-        with pytest.raises(TableError):
-            blocks.join(blocks, on="miner", how="outer")
-
-
 class TestConcat:
     def test_roundtrip(self, blocks):
         assert concat([blocks.head(3), blocks.slice(3, 6)]) == blocks
