@@ -975,7 +975,7 @@ class _Scope:
 
 
 def _equi_join(
-    left: Column, right: Column, how: str, presorted: SortedIndex | None = None
+    left: Column, right: Column, how: str, presorted: SortedIndex | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Matched ``(left_rows, right_rows)`` of an equality join on two key columns.
 
