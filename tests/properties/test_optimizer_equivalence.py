@@ -143,7 +143,7 @@ class TestOptimizerEquivalenceProperties:
     def test_join_strategies_identical(self, left, right):
         for key in ("producer", "height"):
             sql = (
-                "SELECT l.height, r.producer AS rp FROM l JOIN r "
+                "SELECT l.height, r.height AS rh, r.producer AS rp FROM l JOIN r "
                 f"ON l.{key} = r.{key}"
             )
             baseline = snapshot(QueryEngine(
