@@ -16,11 +16,13 @@ Three concerns live here:
 
 Costs are relative, not wall-clock predictions: what matters is the
 ordering between strategies, e.g. an index nested-loop join wins when the
-probe side is much smaller than the indexed side.  The three strategies
-execute as one vectorized kernel (``repro.sql.executor._equi_join``: sort
-the right keys, or read them presorted from a sorted index, then
-binary-search every left key), so the strategy chosen sets the plan's
-label and cost, and whether a sorted index supplies the sort.
+probe side is much smaller than the indexed side.  The strategies run
+one vectorized kernel (``repro.sql.executor._equi_join``).  Hash and
+sort-merge execute identically: sort the right keys, then binary-search
+every left key, so between those two the choice sets only the plan's
+label and cost.  An index join never reads the indexed side in full: it
+binary-searches a sorted index's presorted keys, or looks up a hash
+index's buckets once per distinct left key.
 """
 
 from __future__ import annotations
@@ -212,7 +214,8 @@ def cost_sort_merge_join(left_rows: int, right_rows: int) -> float:
 
 
 def cost_index_join(left_rows: int, right_rows: int, index_kind: str) -> float:
-    """Index join's price: one lookup in an existing right-side index per left row."""
+    """Index join's price: probe an existing right-side index per left row
+    (a hash index once per distinct key), never reading the indexed side."""
     per_lookup = 3.0 if index_kind == "hash" else 2.0 + 0.2 * math.log2(right_rows + 2)
     return per_lookup * left_rows
 

@@ -61,7 +61,7 @@ from repro.sql.planner import (
 from repro.table import Table
 from repro.table.aggregates import factorize, grouped_aggregate
 from repro.table.column import Column
-from repro.table.index import Index, SortedIndex, build_index
+from repro.table.index import HashIndex, Index, SortedIndex, build_index
 from repro.table.stats import TableStatistics
 
 logger = logging.getLogger(__name__)
@@ -79,6 +79,9 @@ _PARALLEL_MIN_ROWS = 50_000
 #: and the holistic aggregates (MEDIAN, STDDEV, VARIANCE) have no cheap
 #: partial and always run serially.
 _PARALLEL_FUNCS = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
+
+#: The right rows of a join key that no hash-index bucket holds.
+_NO_ROWS = np.empty(0, dtype=np.int64)
 
 #: Rows processed by per-row Python fallbacks since process start.  There
 #: is no disk spill in this engine; "spill" counts the analogous cliff —
@@ -619,15 +622,12 @@ def _run_join(node: PlanNode, ctx: _Context) -> Table:
     right_scope = right.scope.qualified()
     left_key = left_scope.resolve(join.on_left)
     right_key = right_scope.resolve(join.on_right)
-    # Hash and sort-merge both sort the right keys; an index join reads them
-    # presorted from a sorted index (a hash index holds no order to read).
-    presorted = None
+    index = None
     if join_plan is not None and join_plan.strategy == "index":
         index = ctx.engine._indexes[join_plan.index_table][join_plan.index_column]
-        presorted = index if isinstance(index, SortedIndex) else None
     left_table, right_table = left_scope.table, right_scope.table
     left_rows, right_rows = _equi_join(
-        left_table.column(left_key), right_table.column(right_key), join.kind, presorted
+        left_table.column(left_key), right_table.column(right_key), join.kind, index
     )
     return ctx.rows(_Scope.joined(_assemble_join(left_table, right_table, left_rows, right_rows)))
 
@@ -975,33 +975,25 @@ class _Scope:
 
 
 def _equi_join(
-    left: Column, right: Column, how: str, presorted: SortedIndex | None
+    left: Column, right: Column, how: str, index: Index | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Matched ``(left_rows, right_rows)`` of an equality join on two key columns.
 
     Pairs come in the canonical order every strategy shares: left rows
     ascending, each left row's matches ascending, and a LEFT miss as right
     row -1.  Keys are equal exactly when a dict of the right keys would
-    find the left key (:func:`_join_keys`).  The right keys are sorted
-    once, stably, so equal keys keep their row order; ``presorted``, a
-    sorted index over ``right``'s rows on the key, already holds them so.
-    Each left key's matches are one range of that order, found by two
-    binary searches, and ``repeat``/``cumsum`` spread the ranges into pairs.
+    find the left key: Python's ``==`` and ``hash``, so numbers compare
+    exactly, ``None`` matches ``None``, NaN never matches and a string
+    never equals a number.  ``index``, an index over ``right``'s rows on
+    the key, lets the probe skip reading ``right``.  Each left row's
+    matches are one range ``order[first:first + count]``
+    (:func:`_bucket_ranges`, :func:`_sorted_ranges`), and
+    ``repeat``/``cumsum`` spread the ranges into pairs.
     """
-    build = right if presorted is None else presorted.keys
-    left_keys, left_ok, build_keys, build_ok = _join_keys(left, build)
-    if presorted is None:
-        order = np.argsort(build_keys, kind="stable")
-        build_keys = build_keys[order]
-        build_ok = None if build_ok is None else build_ok[order]
+    if isinstance(index, HashIndex):
+        first, counts, order = _bucket_ranges(left, index)
     else:
-        order = presorted.order
-    if build_ok is not None:
-        order, build_keys = order[build_ok], build_keys[build_ok]
-    first = np.searchsorted(build_keys, left_keys, side="left")
-    counts = np.searchsorted(build_keys, left_keys, side="right") - first
-    if left_ok is not None:
-        counts[~left_ok] = 0
+        first, counts, order = _sorted_ranges(left, right, index)
     # The left rows that emit pairs: all of them in a LEFT join, else the matched.
     rows = np.arange(len(counts), dtype=np.int64) if how == "left" else np.flatnonzero(counts)
     counts, first = counts[rows], first[rows]
@@ -1017,20 +1009,63 @@ def _equi_join(
     return left_rows, right_rows
 
 
+def _bucket_ranges(left: Column, index: HashIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each left row's ``(first, count)`` in ``order``: the hash index's
+    buckets for the left's distinct keys, laid end to end.
+
+    One dict lookup per distinct left key (per category of an encoded
+    column), so the index is never read in full.
+    """
+    values, codes = _dictionary(left)
+    if codes is None:
+        codes, _, firsts = factorize([values])
+        values = values[firsts]
+    buckets = [index.buckets.get(value, _NO_ROWS) for value in values.tolist()]
+    counts = np.array([len(rows) for rows in buckets], dtype=np.int64)
+    order = np.concatenate([_NO_ROWS, *buckets])
+    return (np.cumsum(counts) - counts)[codes], counts[codes], order
+
+
+def _sorted_ranges(
+    left: Column, right: Column, index: SortedIndex | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each left row's ``(first, count)`` in ``order``, the right rows sorted
+    by key, stably so equal keys keep their row order; two binary searches
+    find each range.
+
+    A sorted index holds that order; its keys are probed as they are
+    (:func:`_probe_keys`), unless a string meets a number, which matches
+    nothing and sorts ``right`` like a join without an index.
+    """
+    if index is not None and (left.kind == "str") == (index.keys.kind == "str"):
+        order, keys = index.order, index.keys.values
+        left_keys, left_ok = _probe_keys(left, index.keys)
+    else:
+        left_keys, left_ok, keys, keys_ok = _join_keys(left, right)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        if keys_ok is not None:
+            keys_ok = keys_ok[order]
+            order, keys = order[keys_ok], keys[keys_ok]
+    first = np.searchsorted(keys, left_keys, side="left")
+    counts = np.searchsorted(keys, left_keys, side="right") - first
+    if left_ok is not None:
+        counts[~left_ok] = 0
+    return first, counts, order
+
+
 def _join_keys(
     left: Column, right: Column
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray | None]:
     """Both key columns as arrays of one comparable dtype, each with a mask
-    of the rows that can match at all (None: every row).
+    of the rows that can match at all (None: every row), equal where
+    :func:`_equi_join` holds the keys equal.
 
-    Equality is a dict's, Python's ``==`` and ``hash``: numbers compare
-    exactly, ``None`` matches ``None``, NaN never matches and a string
-    never equals a number.  Numeric pairs stay numeric
-    (:func:`_number_keys`).  Any other pair goes through one dict
-    factorization of the right then the left values, whose ids are equal
-    exactly where the values are; an encoded column contributes its
-    categories and its rows take their category's id.  Ids follow first
-    appearance, so sorted right values keep sorted ids.
+    Numeric pairs stay numeric (:func:`_number_keys`).  Any other pair
+    goes through one dict factorization of the right then the left
+    values, whose ids are equal exactly where the values are; an encoded
+    column contributes its categories and its rows take their category's
+    id.
     """
     kinds = {left.kind, right.kind}
     if "str" not in kinds:
@@ -1046,22 +1081,41 @@ def _join_keys(
     return left_ids, None, right_ids, None
 
 
+def _probe_keys(left: Column, keys: Column) -> tuple[np.ndarray, np.ndarray | None]:
+    """Left keys comparable with a sorted index's ``keys`` (the two sides
+    both strings or both numbers), and the rows that can match; ``keys``
+    are not read.
+
+    The index holds no NULL and no NaN, so a NULL left key matches
+    nothing.  Numbers take the keys' type (:func:`_number_keys`).
+    """
+    if left.kind != "str":
+        return _number_keys(left, keys.kind != "float")
+    values, codes = _dictionary(left)
+    ok = np.array([value is not None for value in values], dtype=bool)
+    values = np.where(ok, values, "")
+    return (values, ok) if codes is None else (values[codes], ok[codes])
+
+
 def _number_keys(column: Column, as_int: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """A numeric key column as int64 (``as_int``) or float64 keys, and the
     rows that can match.
 
-    NaN matches nothing.  A float joined to an int compares as int64: only
-    an integral value inside int64's range can equal an int, and comparing
-    those exactly keeps an int beyond 2**53 from matching the float it
-    rounds to.
+    NaN matches nothing.  Ints and floats compare exactly, so an int beyond
+    2**53 never matches the float it rounds to: a float compared as int64
+    matches only where it is integral and inside int64's range, and an int
+    compared as float64 only where float64 holds it exactly.
     """
     values = column.values
-    if column.kind != "float":
+    if column.kind == "float":
+        if not as_int:
+            return values, ~np.isnan(values)
+        exact = (values == np.floor(values)) & (values >= -(2.0**63)) & (values < 2.0**63)
+        return np.where(exact, values, 0.0).astype(np.int64), exact
+    if as_int or column.kind == "bool":
         return values.astype(np.int64 if as_int else np.float64, copy=False), None
-    if not as_int:
-        return values, ~np.isnan(values)
-    exact = (values == np.floor(values)) & (values >= -(2.0**63)) & (values < 2.0**63)
-    return np.where(exact, values, 0.0).astype(np.int64), exact
+    as_float = values.astype(np.float64)
+    return as_float, np.where(as_float < 2.0**63, as_float, 0.0).astype(np.int64) == values
 
 
 def _dictionary(column: Column) -> tuple[np.ndarray, np.ndarray | None]:

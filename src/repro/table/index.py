@@ -12,8 +12,8 @@ Both return **ascending row positions**, so an index scan visits rows in
 the same physical order as a full scan and the results stay byte-identical
 to the unindexed path.  ``lookup_eq`` matches SQL ``=``: NULL (None) and
 NaN never match.  Joins do not probe row by row: the SQL executor's join
-kernel reads a sorted index's ``keys`` and ``order`` as its presorted
-build side.
+kernel binary-searches a sorted index's ``keys`` and reads its ``order``,
+and looks up a hash index's ``buckets`` once per distinct probe key.
 
 Indexes are immutable snapshots of the column they were built from; the
 query engine rebuilds them when a table is re-registered.
@@ -108,7 +108,8 @@ class HashIndex:
             if _is_nan(value):
                 continue  # NaN never matches itself in `=`
             buckets.setdefault(value, []).append(position)
-        self._buckets = {
+        #: Each value (``None`` included, NaN left out) -> its ascending row positions.
+        self.buckets = {
             value: np.asarray(rows, dtype=np.int64) for value, rows in buckets.items()
         }
         self.n_rows = len(column)
@@ -117,7 +118,7 @@ class HashIndex:
         """Ascending positions of rows where ``column = value``."""
         if value is None or _is_nan(value):
             return _EMPTY
-        return self._buckets.get(value, _EMPTY)
+        return self.buckets.get(value, _EMPTY)
 
 
 Index = SortedIndex | HashIndex
