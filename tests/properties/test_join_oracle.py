@@ -47,6 +47,8 @@ PAIRS = {
     "int-float": ("int", "float"),
     "float-int": ("float", "int"),
     "bool-int": ("bool", "int"),
+    "int-bool": ("int", "bool"),
+    "bool-float": ("bool", "float"),
     "float-bool": ("float", "bool"),
     "str": ("str", "str"),
     "encoded-str": ("encoded", "str"),
